@@ -18,7 +18,7 @@ scripted crash into a reproducible resilience test harness:
   failures the ``up``-flag heartbeat misses;
 * :mod:`repro.chaos.scorecard` — per-campaign MTTR, availability,
   goodput and SLO-violation-under-fault with multi-seed confidence
-  intervals (recorded by ``benchmarks/bench_chaos.py``).
+  intervals (recorded by the ``"chaos"`` section of ``repro bench``).
 """
 
 from repro.chaos.campaign import (
@@ -32,8 +32,8 @@ from repro.chaos.scorecard import (
     render_scorecard,
     score_campaign,
     score_run,
-    scorecard_json,
 )
+from repro.metrics.export import scorecard_json
 
 __all__ = [
     "ChaosCampaign",

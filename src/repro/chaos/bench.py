@@ -1,14 +1,11 @@
-"""The ``"chaos"`` section of BENCH_engine.json (shared logic).
+"""The chaos harness: the ``repro chaos`` scenario and the ``"chaos"``
+section of BENCH_engine.json.
 
-Runs the crash, fail-slow and correlated campaigns across seeds and
-records MTTR / detection latency / availability with 95 % confidence
-intervals, plus the gray-failure detection comparison (the legacy
-``up``-flag heartbeat misses a crawling replica; the phi-accrual
+The section runs the crash, fail-slow and correlated campaigns across
+seeds and records MTTR / detection latency / availability with 95 %
+confidence intervals, plus the gray-failure detection comparison (the
+legacy ``up``-flag heartbeat misses a crawling replica; the phi-accrual
 detector repairs it).
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_chaos.py`` is the
-CLI/pytest wrapper.
 """
 
 from __future__ import annotations
@@ -16,43 +13,101 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.chaos import PRESETS, campaign_config, score_campaign
+from repro.chaos import PRESETS, render_scorecard, score_campaign
+from repro.chaos.campaign import campaign_configs
+from repro.runner.scenario import Scenario
 
 #: campaigns whose MTTR the committed report tracks with CIs
 MTTR_CAMPAIGNS = ("crash", "fail-slow", "correlated")
 
 
-def _runs(runner, campaign, seeds, clients, duration_s):
-    runs = runner.run_seeds(
-        lambda seed: campaign_config(
-            campaign, seed=seed, clients=clients, duration_s=duration_s
-        ),
-        seeds,
-        prefix=f"chaos-{campaign.name}-{campaign.detector}",
+class _Chaos(Scenario):
+    name = "chaos"
+    help = (
+        "run a fault-injection campaign and print the resilience "
+        "scorecard (MTTR, detection latency, availability, goodput, SLO)"
     )
-    return [runs[s] for s in seeds]
+    preset_flag = "--campaign"
+    presets = PRESETS
+    default = "crash"
+    preset_help = "named campaign preset"
+    events_help = "print the per-seed fault and detection event logs"
+
+    def add_options(self, parser) -> None:
+        parser.add_argument(
+            "--detector", choices=("legacy", "phi"), default=None,
+            help="override the campaign's failure-detection path "
+            "(legacy heartbeat vs phi-accrual progress detector)",
+        )
+        parser.add_argument("--clients", type=int, default=120)
+        parser.add_argument(
+            "--duration", type=float, default=600.0,
+            help="simulated seconds per run (default 600)",
+        )
+
+    def resolve(self, campaign, args):
+        if args.detector is None:
+            return campaign
+        return dataclasses.replace(campaign, detector=args.detector)
+
+    def banner(self, campaign, args) -> str:
+        return (
+            f"Campaign '{campaign.name}' (detector: {campaign.detector}): "
+            f"{len(campaign.faults)} fault spec(s), "
+            f"{args.clients} clients x {args.duration:.0f}s"
+        )
+
+    def configs(self, campaign, seeds, args) -> dict:
+        return campaign_configs(campaign, seeds, args.clients, args.duration)
+
+    def score(self, campaign, runs, args) -> dict:
+        return score_campaign(
+            campaign, list(runs.values()), slo_latency_s=args.slo
+        )
+
+    def render(self, scorecard, runs, args) -> list[str]:
+        return render_scorecard(scorecard)
+
+    def events(self, runs) -> list[str]:
+        lines = []
+        for run in runs.values():
+            lines.append(f"\nSeed {run.config.seed} events")
+            for event in run.chaos.events:
+                where = event["node"] or "lan"
+                detail = f" {event['detail']}" if event["detail"] else ""
+                lines.append(
+                    f"  t={event['t']:7.1f}s  inject {event['fault']} on "
+                    f"{where}{detail}"
+                )
+            for det in run.chaos.detections:
+                lines.append(
+                    f"  t={det['t']:7.1f}s  detect {det['component']} "
+                    f"[{det['tier']}] via {det['reason']}"
+                )
+        return lines
+
+
+SCENARIO = _Chaos()
+
+
+def _card(runner, campaign, seeds, clients, duration_s) -> dict:
+    configs = campaign_configs(campaign, seeds, clients, duration_s)
+    runs = runner.run_many(configs)
+    return score_campaign(campaign, [runs[label] for label in configs])
 
 
 def run_chaos_section(
+    runner,
     seeds: Sequence[int] = (1, 2, 3),
     clients: int = 60,
     duration_s: float = 420.0,
-    parallel: bool = True,
-    use_cache: bool = False,
 ) -> dict:
     """The ``"chaos"`` section of BENCH_engine.json."""
-    from repro.runner import ExperimentRunner, ResultCache
-
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
     seeds = tuple(seeds)
     campaigns = {}
     for name in MTTR_CAMPAIGNS:
         campaign = PRESETS[name]()
-        card = score_campaign(
-            campaign, _runs(runner, campaign, seeds, clients, duration_s)
-        )
+        card = _card(runner, campaign, seeds, clients, duration_s)
         agg = card["aggregate"]
         campaigns[name] = {
             "detector": campaign.detector,
@@ -69,9 +124,7 @@ def run_chaos_section(
     arms = {}
     for detector in ("legacy", "phi"):
         campaign = dataclasses.replace(gray, detector=detector)
-        card = score_campaign(
-            campaign, _runs(runner, campaign, seeds, clients, duration_s)
-        )
+        card = _card(runner, campaign, seeds, clients, duration_s)
         arms[detector] = {
             "repairs": sum(r["repairs_completed"] for r in card["per_seed"]),
             "detections": sum(r["detections"] for r in card["per_seed"]),
@@ -128,7 +181,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest and --smoke."""
+    """The section gate (``repro bench``, its ``--smoke`` and pytest)."""
     n_seeds = len(section["seeds"])
     for name in MTTR_CAMPAIGNS:
         c = section["campaigns"][name]

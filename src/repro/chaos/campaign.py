@@ -168,3 +168,18 @@ def campaign_config(
         cohort=cohort,
         chaos=campaign,
     )
+
+
+def campaign_configs(
+    campaign: ChaosCampaign,
+    seeds,
+    clients: int = 120,
+    duration_s: float = 600.0,
+) -> dict:
+    """``{label: config}`` replicating ``campaign`` across ``seeds``."""
+    return {
+        f"chaos-{campaign.name}-{seed}": campaign_config(
+            campaign, seed=seed, clients=clients, duration_s=duration_s
+        )
+        for seed in seeds
+    }

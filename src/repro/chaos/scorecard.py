@@ -11,31 +11,17 @@ Everything here is a pure function of :class:`CompletedRun` plain data
 (the chaos event log, the recovery manager's detection log and the
 collector's reconfiguration log), so the scorecard of a cached or
 pool-worker run is byte-identical to a serial one —
-:func:`scorecard_json` canonicalizes (sorted keys, rounded floats) to
+:func:`~repro.metrics.export.scorecard_json` canonicalizes (sorted keys, rounded floats) to
 make that testable.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Optional, Sequence
 
 from repro.capacity.cost import slo_violation_time
 from repro.chaos.faults import DISRUPTIVE
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    clean = [v for v in values if v == v]  # drop NaNs (no repair observed)
-    if not clean:
-        return {"mean": float("nan"), "ci95": 0.0, "n": 0}
-    mean = sum(clean) / len(clean)
-    if len(clean) > 1:
-        var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-        ci = 1.96 * math.sqrt(var) / math.sqrt(len(clean))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(clean)}
+from repro.metrics.stats import mean_ci
 
 
 def _repairs_by_node(collector) -> dict[str, list[tuple[float, str, float]]]:
@@ -177,10 +163,10 @@ def score_campaign(
     """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
     per_seed = [score_run(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([row[metric] for row in per_seed])
+        metric: mean_ci([row[metric] for row in per_seed])
         for metric in AGGREGATED
     }
-    aggregate["repairs_completed"] = _stats(
+    aggregate["repairs_completed"] = mean_ci(
         [float(row["repairs_completed"]) for row in per_seed]
     )
     return {
@@ -194,27 +180,8 @@ def score_campaign(
 
 
 # ----------------------------------------------------------------------
-# Canonical serialization (byte-identity) and rendering
+# Rendering
 # ----------------------------------------------------------------------
-def _canonical(value):
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        if value != value:
-            return None  # NaN is not valid JSON; canonicalize to null
-        return round(value, 9)
-    return value
-
-
-def scorecard_json(scorecard: dict) -> str:
-    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
-    null.  Two runs of the same campaign + seeds — serial, parallel or
-    cache-resolved — must produce byte-identical output."""
-    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"
-
-
 def render_scorecard(scorecard: dict) -> list[str]:
     """Human-readable scorecard block for the CLI."""
     agg = scorecard["aggregate"]

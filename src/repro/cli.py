@@ -23,8 +23,15 @@ import json
 import sys
 from typing import Optional
 
+from repro.chaos.bench import SCENARIO as CHAOS
+from repro.deploy.bench import SCENARIO as DEPLOY
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.market.bench import SCENARIO as MARKET
+from repro.runner.scenario import add_runner_flags, parse_list, runner_from_args
 from repro.workload.profiles import ConstantProfile, RampProfile
+
+#: the seeded scenario subcommands, all run by repro.runner.scenario
+SCENARIOS = (CHAOS, DEPLOY, MARKET)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -131,159 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--crash-at", type=float, default=300.0)
     _add_common(recovery)
 
-    from repro.chaos.campaign import PRESETS
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a fault-injection campaign and print the resilience "
-        "scorecard (MTTR, detection latency, availability, goodput, SLO)",
-    )
-    chaos.add_argument(
-        "--campaign", default="crash", choices=sorted(PRESETS),
-        help="named campaign preset (default: crash)",
-    )
-    chaos.add_argument(
-        "--detector", choices=("legacy", "phi"), default=None,
-        help="override the campaign's failure-detection path "
-        "(legacy heartbeat vs phi-accrual progress detector)",
-    )
-    chaos.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
-    chaos.add_argument("--clients", type=int, default=120)
-    chaos.add_argument(
-        "--duration", type=float, default=600.0,
-        help="simulated seconds per run (default 600)",
-    )
-    chaos.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    chaos.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    chaos.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed fault and detection event logs",
-    )
-    chaos.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    chaos.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
-
-    from repro.deploy.scenario import PRESETS as DEPLOY_PRESETS
-    from repro.deploy.scenario import STRATEGIES
-
-    deploy = sub.add_parser(
-        "deploy",
-        help="push a new server version through a bounce strategy with "
-        "canary analysis and SLO-gated automatic rollback",
-    )
-    deploy.add_argument(
-        "--scenario", default="clean-push", choices=sorted(DEPLOY_PRESETS),
-        help="named deployment scenario (default: clean-push)",
-    )
-    deploy.add_argument(
-        "--strategy", choices=STRATEGIES, default=None,
-        help="override the scenario's bounce strategy "
-        "(brutal | upthendown | crossover | downthenup)",
-    )
-    deploy.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
-    deploy.add_argument("--clients", type=int, default=120)
-    deploy.add_argument(
-        "--duration", type=float, default=540.0,
-        help="simulated seconds per run (default 540)",
-    )
-    deploy.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    deploy.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    deploy.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed deployment event logs and capacity "
-        "timeline",
-    )
-    deploy.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    deploy.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    deploy.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
-
-    from repro.market.scenario import PRESETS as MARKET_PRESETS
-
-    market = sub.add_parser(
-        "market",
-        help="run the ramp on a heterogeneous spot/on-demand fleet and "
-        "print the fleet-cost scorecard (savings vs the uniform pool)",
-    )
-    market.add_argument(
-        "--scenario", default="spot-heavy", choices=sorted(MARKET_PRESETS),
-        help="named market scenario preset (default: spot-heavy)",
-    )
-    market.add_argument(
-        "--compare", action="store_true",
-        help="what-if over every preset fleet mix (plus the uniform "
-        "baseline) and rank the SLO-feasible mixes by cost",
-    )
-    market.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
-    market.add_argument(
-        "--peak", type=int, default=500, help="ramp peak client count"
-    )
-    market.add_argument(
-        "--scale", type=float, default=0.15,
-        help="time compression of the ramp runs (default 0.15)",
-    )
-    market.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    market.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    market.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed rebalance and interruption logs",
-    )
-    market.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    market.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    market.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
+    for scenario in SCENARIOS:
+        scenario.add_parser(sub)
 
     whatif = sub.add_parser(
         "whatif",
@@ -328,23 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="time compression of the scenario (0.5 = half duration)",
     )
     whatif.add_argument(
-        "--serial", action="store_true",
-        help="evaluate candidate branches in-process instead of fanning "
-        "out over the process pool",
-    )
-    whatif.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the warmed-branch result cache (every branch computes)",
-    )
-    whatif.add_argument(
         "--prune", action="store_true",
         help="dominance pruning: stop branches that provably cannot beat "
         "the incumbent candidate (never changes the winner)",
     )
-    whatif.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the candidate fan-out",
-    )
+    add_runner_flags(whatif, unit="candidate")
 
     sweep = sub.add_parser(
         "sweep",
@@ -399,16 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", default=None,
         help="write the full sweep result (spec + rows + cache) as JSON",
     )
-    sweep.add_argument(
-        "--serial", action="store_true", help="run cells in-process"
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the cell fan-out",
-    )
+    add_runner_flags(sweep, unit="cell")
 
     from repro.federation.spec import PRESETS as FED_PRESETS
 
@@ -525,16 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", metavar="FILE", default=None,
         help="write the full ranked report as JSON",
     )
-    tune.add_argument(
-        "--serial", action="store_true", help="run cells in-process"
-    )
-    tune.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    tune.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the cell fan-out",
-    )
+    add_runner_flags(tune, unit="cell")
 
     cache = sub.add_parser(
         "cache", help="inspect or clean the on-disk result cache"
@@ -550,14 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
         "~/.cache/repro-jade)",
     )
 
+    from repro.runner.bench import SECTIONS
+
     bench = sub.add_parser(
         "bench",
-        help="engine benchmark: micro scenarios + multi-seed ramp pair "
-        "through the parallel cached runner",
+        help="engine benchmark: every BENCH_engine.json section (micro "
+        "scenarios, ramp replication, what-if, sweep and the subsystem "
+        "gates), each rendered and checked",
     )
     bench.add_argument(
         "--out", metavar="FILE", default=None,
-        help="write the benchmark report JSON (e.g. BENCH_engine.json)",
+        help="merge the sections run into this report JSON (e.g. "
+        "BENCH_engine.json); written only when every check passes",
+    )
+    bench.add_argument(
+        "--section", action="append", default=[], choices=list(SECTIONS),
+        metavar="SECTION",
+        help="run only this section (repeatable; choices: "
+        f"{', '.join(SECTIONS)})",
+    )
+    bench.add_argument(
+        "--smoke", action="store_true",
+        help="the fast CI gate of each section run (one seed, smoke "
+        "budgets), computed without the result cache",
     )
     bench.add_argument(
         "--check", metavar="FILE", default=None,
@@ -570,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--seeds", type=int, default=3, metavar="N",
-        help="replicate the ramp pair over seeds 1..N (default 3)",
+        help="replicate seeded sections over seeds 1..N (default 3)",
     )
     bench.add_argument(
         "--scale", type=float, default=0.15,
@@ -586,17 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"
     )
-    from repro.runner.bench import SECTIONS
-
     bench.add_argument(
         "--micro-only", action="store_true",
-        help="run only the micro scenarios (skip every registry section)",
+        help="run only the micro scenarios (skip every other section)",
     )
     bench.add_argument(
-        "--skip", action="append", default=[], choices=sorted(SECTIONS),
+        "--skip", action="append", default=[], choices=list(SECTIONS),
         metavar="SECTION",
-        help="skip one report section (repeatable; choices: "
-        f"{', '.join(SECTIONS)})",
+        help="skip one report section (repeatable)",
     )
     _add_fluid(bench)
     bench.add_argument(
@@ -911,274 +749,13 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.chaos import (
-        PRESETS,
-        campaign_config,
-        render_scorecard,
-        score_campaign,
-        scorecard_json,
-    )
-    from repro.runner import ExperimentRunner, ResultCache
-
-    campaign = PRESETS[args.campaign]()
-    if args.detector is not None:
-        campaign = dataclasses.replace(campaign, detector=args.detector)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
-        return 2
-    print(
-        f"Campaign '{campaign.name}' (detector: {campaign.detector}): "
-        f"{len(campaign.faults)} fault spec(s), "
-        f"{args.clients} clients x {args.duration:.0f}s, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    runs = runner.run_seeds(
-        lambda seed: campaign_config(
-            campaign, seed=seed, clients=args.clients, duration_s=args.duration
-        ),
-        seeds,
-        prefix=f"chaos-{campaign.name}",
-    )
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
-    scorecard = score_campaign(
-        campaign, [runs[s] for s in seeds], slo_latency_s=args.slo
-    )
-    print()
-    for line in render_scorecard(scorecard):
-        print(line)
-    if args.events:
-        for seed in seeds:
-            chaos = runs[seed].chaos
-            print(f"\nSeed {seed} events")
-            for event in chaos.events:
-                where = event["node"] or "lan"
-                detail = f" {event['detail']}" if event["detail"] else ""
-                print(
-                    f"  t={event['t']:7.1f}s  inject {event['fault']} on "
-                    f"{where}{detail}"
-                )
-            for det in chaos.detections:
-                print(
-                    f"  t={det['t']:7.1f}s  detect {det['component']} "
-                    f"[{det['tier']}] via {det['reason']}"
-                )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
-    return 0
-
-
-def cmd_deploy(args: argparse.Namespace) -> int:
-    from repro.deploy import (
-        PRESETS,
-        deploy_config,
-        render_scorecard,
-        score_scenario,
-        scorecard_json,
-        with_strategy,
-    )
-    from repro.runner import ExperimentRunner, ResultCache
-
-    scenario = PRESETS[args.scenario]()
-    if args.strategy is not None:
-        scenario = with_strategy(scenario, args.strategy)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
-        return 2
-    print(
-        f"Deployment '{scenario.name}' ({scenario.version.label} via "
-        f"{scenario.strategy}, canary={'on' if scenario.canary else 'off'}): "
-        f"{args.clients} clients x {args.duration:.0f}s, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    runs = runner.run_seeds(
-        lambda seed: deploy_config(
-            scenario, seed=seed, clients=args.clients, duration_s=args.duration
-        ),
-        seeds,
-        prefix=f"deploy-{scenario.name}",
-    )
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
-    scorecard = score_scenario(
-        scenario, [runs[s] for s in seeds], slo_latency_s=args.slo
-    )
-    print()
-    for line in render_scorecard(scorecard):
-        print(line)
-    if args.events:
-        for seed in seeds:
-            stats = runs[seed].deploy
-            print(f"\nSeed {seed} events")
-            for event in stats.events:
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(event.items())
-                    if k not in ("t", "kind")
-                )
-                suffix = f" ({detail})" if detail else ""
-                print(f"  t={event['t']:7.1f}s  {event['kind']}{suffix}")
-            for t, serving, total in stats.capacity:
-                print(
-                    f"  t={t:7.1f}s  capacity {serving}/{total} serving"
-                )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
-    return 0
-
-
-def cmd_market(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.market.costs import (
-        render_scorecard,
-        score_scenario,
-        scorecard_json,
-    )
-    from repro.market.scenario import PRESETS, market_config
-    from repro.market.whatif import evaluate_mixes, render_mixes
-    from repro.runner import ExperimentRunner, ResultCache
-
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
-        return 2
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-
-    if args.compare:
-        scenarios = [make() for _, make in sorted(PRESETS.items())]
-        print(
-            f"Comparing {len(scenarios)} fleet mixes + uniform baseline "
-            f"over seeds {', '.join(str(s) for s in seeds)}..."
-        )
-        table = evaluate_mixes(
-            scenarios,
-            seeds=seeds,
-            peak=args.peak,
-            scale=args.scale,
-            slo_latency_s=args.slo,
-            runner=runner,
-        )
-        if runner.cache is not None:
-            print(
-                f"  cache: {runner.cache.hits} hits / "
-                f"{runner.cache.misses} misses"
-            )
-        print()
-        for line in render_mixes(table):
-            print(line)
-        if args.json:
-            import json as _json
-
-            with open(args.json, "w") as fh:
-                _json.dump(table, fh, indent=2, default=float)
-                fh.write("\n")
-            print(f"\nComparison written to {args.json}")
-        return 0
-
-    scenario = PRESETS[args.scenario]()
-    print(
-        f"Scenario '{scenario.name}' (policy: {scenario.policy}, "
-        f"od floor {scenario.on_demand_floor:.0%}, "
-        f"hazard {scenario.interruption_hazard_per_hour:g}/h): "
-        f"ramp to {args.peak} at scale {args.scale:g}, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    labelled = {
-        f"{scenario.name}-s{seed}": market_config(
-            scenario, seed=seed, peak=args.peak, scale=args.scale
-        )
-        for seed in seeds
-    }
-    # uniform baseline arms for the cost comparison context
-    for seed in seeds:
-        labelled[f"uniform-s{seed}"] = replace(
-            market_config(scenario, seed=seed, peak=args.peak, scale=args.scale),
-            market=None,
-        )
-    runs = runner.run_many(labelled)
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
-    scorecard = score_scenario(
-        scenario,
-        [runs[f"{scenario.name}-s{s}"] for s in seeds],
-        slo_latency_s=args.slo,
-    )
-    uniform_card = score_scenario(
-        None,
-        [runs[f"uniform-s{s}"] for s in seeds],
-        slo_latency_s=args.slo,
-        uniform=True,
-    )
-    print()
-    for line in render_scorecard(scorecard):
-        print(line)
-    uni_slo = uniform_card["aggregate"]["slo_violation_s"]["mean"]
-    print(
-        f"  uniform-pool SLO    : {uni_slo:.2f} s "
-        f"(delta {scorecard['aggregate']['slo_violation_s']['mean'] - uni_slo:+.2f} s)"
-    )
-    if args.events:
-        for seed in seeds:
-            stats = runs[f"{scenario.name}-s{seed}"].market
-            print(f"\nSeed {seed} events")
-            for entry in stats.rebalances:
-                print(
-                    f"  t={entry['t']:7.1f}s  rebalance [{entry['action']}] "
-                    f"{entry['detail']} (target {entry['target']:.1f} vCPU)"
-                )
-            for entry in stats.interruptions:
-                print(
-                    f"  t={entry['t']:7.1f}s  interruption {entry['node']} "
-                    f"({entry['source']}, reclaim at t={entry['deadline']:.1f}s)"
-                )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner import (
-        ExperimentRunner,
-        ResultCache,
         SweepSpec,
         run_sweep,
         write_sweep_csv,
         write_sweep_json,
     )
-
-    def parse_list(raw: str, conv):
-        return tuple(conv(item) for item in raw.split(",") if item.strip())
 
     spec = SweepSpec(
         seeds=parse_list(args.seeds, int),
@@ -1200,12 +777,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{len(spec.regions)} region counts x "
         f"{len(spec.controllers)} controllers..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    result = run_sweep(spec, runner)
+    result = run_sweep(spec, runner_from_args(args))
     print(
         f"{len(result.rows)} rows in {result.elapsed_s:.1f}s "
         f"({len(result.rows) / max(result.elapsed_s, 1e-9):.1f} rows/s)"
@@ -1237,7 +809,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    import json as _json
     from pathlib import Path
 
     from repro.policy.tune import (
@@ -1246,11 +817,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         run_tune,
         write_tuned_config,
     )
-    from repro.runner import ExperimentRunner, ResultCache
-
-    def parse_list(raw: str, conv):
-        return tuple(conv(item) for item in raw.split(",") if item.strip())
-
     spec = TuneSpec(
         app_max=parse_list(args.app_max, float),
         app_min=parse_list(args.app_min, float),
@@ -1270,19 +836,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
         f"Tuning {len(cells)} cells x {len(spec.seeds)} seeds "
         f"({len(cells) * runs_per_cell} runs)..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    report = run_tune(spec, runner=runner)
+    report = run_tune(spec, runner=runner_from_args(args))
     print(render_report(report, top=args.top))
     if args.out:
         write_tuned_config(report, args.out)
         print(f"\ntuned config written to {args.out}")
     if args.report:
         Path(args.report).write_text(
-            _json.dumps(report, indent=2, default=float) + "\n"
+            json.dumps(report, indent=2, default=float) + "\n"
         )
         print(f"full report written to {args.report}")
     return 0
@@ -1415,7 +976,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import check_against, check_whatif, run_bench
+    from repro.runner.bench import check_against, check_whatif
 
     if args.check or args.check_whatif:
         ok = True
@@ -1434,88 +995,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("perf-smoke:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    from repro.runner.bench import SECTIONS
+    from repro.runner.bench import SECTIONS, BenchContext, run_bench
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
-    skip = set(SECTIONS) if args.micro_only else set(args.skip)
-    report = run_bench(
-        out_path=args.out,
+    if args.section:
+        names = args.section
+    elif args.micro_only:
+        names = ["micro"]
+    else:
+        names = [n for n in SECTIONS if n not in args.skip]
+    runner = ExperimentRunner(
+        cache=None if args.no_cache or args.smoke else ResultCache(),
+        parallel=not args.serial,
+    )
+    ctx = BenchContext(
         seeds=tuple(range(1, args.seeds + 1)),
         scale=args.scale,
         rounds=args.rounds,
-        parallel=not args.serial,
-        use_cache=not args.no_cache,
-        skip=skip,
         whatif_candidates=args.whatif_candidates,
         fluid=args.fluid,
         fluid_threshold=args.fluid_threshold,
+        smoke=args.smoke,
     )
-    micro = report["micro"]
-    print("Micro scenarios (best of {}):".format(args.rounds))
-    print(
-        "  kernel 10k events : {:.2f} ms  ({:,.0f} events/s, {:.2f}x baseline)".format(
-            micro["kernel_10k_events"]["best_s"] * 1e3,
-            micro["kernel_10k_events"]["events_per_s"],
-            micro["kernel_10k_events"]["speedup_vs_baseline"],
-        )
-    )
-    print(
-        "  PS-CPU 5k jobs    : {:.2f} ms  ({:,.0f} jobs/s, {:.2f}x baseline)".format(
-            micro["ps_cpu_5k_jobs"]["best_s"] * 1e3,
-            micro["ps_cpu_5k_jobs"]["jobs_per_s"],
-            micro["ps_cpu_5k_jobs"]["speedup_vs_baseline"],
-        )
-    )
-    if "ramp" in report:
-        ramp = report["ramp"]
-        print(
-            f"\nRamp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
-            f"{ramp['parallel_elapsed_s']:.1f}s elapsed "
-            f"(serial estimate {ramp['serial_estimate_s']:.1f}s)"
-        )
-        for arm, stats in ramp["arms"].items():
-            thr = stats["throughput_rps"]
-            lat = stats["latency_mean_ms"]
-            print(
-                f"  {arm:<8s} throughput {thr['mean']:.2f} +/- {thr['ci95']:.2f} "
-                f"req/s, latency {lat['mean']:.1f} +/- {lat['ci95']:.1f} ms"
-            )
-        if "cache" in ramp:
-            c = ramp["cache"]
-            print(
-                f"  cache: cold {c['cold']['hits']} hits / "
-                f"{c['cold']['misses']} misses, warm {c['warm']['hits']} hits "
-                f"/ {c['warm']['misses']} misses ({c['dir']})"
-            )
-    if "whatif" in report:
-        w = report["whatif"]
-        print(
-            f"\nWhat-if {w['candidates']}-candidate decision: "
-            f"serial {w['serial_s']:.2f}s, parallel cold "
-            f"{w['parallel_cold_s']:.2f}s ({w['speedup_parallel']:.2f}x), "
-            f"memoized {w['memoized_s']:.3f}s ({w['speedup_memoized']:.1f}x); "
-            f"byte-identical: {w['byte_identical']}, winner {w['winner']}"
-        )
-    if "sweep" in report:
-        s = report["sweep"]
-        print(
-            f"Sweep {s['spec']['cells']} cells: cold "
-            f"{s['cold']['rows_per_s']:.1f} rows/s, warm "
-            f"{s['warm']['rows_per_s']:.0f} rows/s (cache-resolved)"
-        )
-    for name, module in (
-        ("chaos", "repro.chaos.bench"),
-        ("deploy", "repro.deploy.bench"),
-        ("market", "repro.market.bench"),
-        ("fluid", "repro.workload.fluid_bench"),
-    ):
-        if name in report:
-            import importlib
-
-            render = importlib.import_module(module).render_section
-            print()
-            print(render(report[name]))
-    if args.out:
-        print(f"\nReport written to {args.out}")
+    failures = run_bench(names, runner, ctx, out_path=args.out)
+    if failures:
+        print("\nbench: FAIL\n" + "\n".join(failures), file=sys.stderr)
+        if args.out:
+            print(f"{args.out} not written", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -1535,9 +1043,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "ramp": cmd_ramp,
         "steady": cmd_steady,
         "recovery": cmd_recovery,
-        "chaos": cmd_chaos,
-        "deploy": cmd_deploy,
-        "market": cmd_market,
+        **{scenario.name: scenario.main for scenario in SCENARIOS},
         "whatif": cmd_whatif,
         "sweep": cmd_sweep,
         "tune": cmd_tune,

@@ -26,7 +26,6 @@ from repro.deploy.scorecard import (
     render_scorecard,
     score_run,
     score_scenario,
-    scorecard_json,
     violation_seconds,
 )
 from repro.deploy.versions import (
@@ -35,6 +34,7 @@ from repro.deploy.versions import (
     clear_version,
     version_label,
 )
+from repro.metrics.export import scorecard_json
 
 __all__ = [
     "BounceOperation",

@@ -1,6 +1,7 @@
-"""The ``"deploy"`` section of BENCH_engine.json (shared logic).
+"""The deployment harness: the ``repro deploy`` scenario and the
+``"deploy"`` section of BENCH_engine.json.
 
-Two headline claims, asserted by the CI deploy-smoke job:
+Two headline claims, asserted by the section gate:
 
 * **bad push** — the canary catches a regression (4x demand, 30 % 500s)
   and rolls back automatically; post-rollback goodput is within 5 % of
@@ -8,55 +9,114 @@ Two headline claims, asserted by the CI deploy-smoke job:
 * **clean bounce** — the ``crossover`` strategy keeps SLO violation
   seconds strictly below ``brutal`` during a clean fleet bounce (and
   never drops below one serving replica, where brutal blacks out).
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_deploy.py`` is the
-CLI/pytest wrapper.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
-from repro.deploy.scorecard import score_scenario
+from repro.deploy.scenario import (
+    PRESETS,
+    STRATEGIES,
+    deploy_configs,
+    with_strategy,
+)
+from repro.deploy.scorecard import render_scorecard, score_scenario
+from repro.runner.scenario import Scenario
 
 
-def _runs(runner, scenario, seeds, clients, duration_s):
-    runs = runner.run_seeds(
-        lambda seed: deploy_config(
-            scenario, seed=seed, clients=clients, duration_s=duration_s
-        ),
-        seeds,
-        prefix=f"deploy-{scenario.name}-{scenario.strategy}",
+class _Deploy(Scenario):
+    name = "deploy"
+    help = (
+        "push a new server version through a bounce strategy with "
+        "canary analysis and SLO-gated automatic rollback"
     )
-    return [runs[s] for s in seeds]
+    presets = PRESETS
+    default = "clean-push"
+    preset_help = "named deployment scenario"
+    events_help = (
+        "print the per-seed deployment event logs and capacity timeline"
+    )
+
+    def add_options(self, parser) -> None:
+        parser.add_argument(
+            "--strategy", choices=STRATEGIES, default=None,
+            help="override the scenario's bounce strategy "
+            "(brutal | upthendown | crossover | downthenup)",
+        )
+        parser.add_argument("--clients", type=int, default=120)
+        parser.add_argument(
+            "--duration", type=float, default=540.0,
+            help="simulated seconds per run (default 540)",
+        )
+
+    def resolve(self, scenario, args):
+        if args.strategy is None:
+            return scenario
+        return with_strategy(scenario, args.strategy)
+
+    def banner(self, scenario, args) -> str:
+        return (
+            f"Deployment '{scenario.name}' ({scenario.version.label} via "
+            f"{scenario.strategy}, "
+            f"canary={'on' if scenario.canary else 'off'}): "
+            f"{args.clients} clients x {args.duration:.0f}s"
+        )
+
+    def configs(self, scenario, seeds, args) -> dict:
+        return deploy_configs(scenario, seeds, args.clients, args.duration)
+
+    def score(self, scenario, runs, args) -> dict:
+        return score_scenario(
+            scenario, list(runs.values()), slo_latency_s=args.slo
+        )
+
+    def render(self, scorecard, runs, args) -> list[str]:
+        return render_scorecard(scorecard)
+
+    def events(self, runs) -> list[str]:
+        lines = []
+        for run in runs.values():
+            lines.append(f"\nSeed {run.config.seed} events")
+            for event in run.deploy.events:
+                detail = ", ".join(
+                    f"{k}={v}" for k, v in sorted(event.items())
+                    if k not in ("t", "kind")
+                )
+                suffix = f" ({detail})" if detail else ""
+                lines.append(f"  t={event['t']:7.1f}s  {event['kind']}{suffix}")
+            for t, serving, total in run.deploy.capacity:
+                lines.append(
+                    f"  t={t:7.1f}s  capacity {serving}/{total} serving"
+                )
+        return lines
+
+
+SCENARIO = _Deploy()
+
+
+def _card(runner, scenario, seeds, clients, duration_s) -> dict:
+    configs = deploy_configs(scenario, seeds, clients, duration_s)
+    runs = runner.run_many(configs)
+    return score_scenario(scenario, [runs[label] for label in configs])
 
 
 def run_deploy_section(
+    runner,
     seeds: Sequence[int] = (1, 2, 3),
     clients: int = 120,
     duration_s: float = 540.0,
-    parallel: bool = True,
-    use_cache: bool = False,
 ) -> dict:
     """The ``"deploy"`` section of BENCH_engine.json."""
-    from repro.runner import ExperimentRunner, ResultCache
-
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
     seeds = tuple(seeds)
 
-    bad = PRESETS["bad-push"]()
-    bad_card = score_scenario(bad, _runs(runner, bad, seeds, clients, duration_s))
+    bad_card = _card(runner, PRESETS["bad-push"](), seeds, clients, duration_s)
 
     clean = PRESETS["clean-bounce"]()
     arms = {}
     for strategy in ("crossover", "brutal"):
-        scenario = with_strategy(clean, strategy)
-        arms[strategy] = score_scenario(
-            scenario, _runs(runner, scenario, seeds, clients, duration_s)
+        arms[strategy] = _card(
+            runner, with_strategy(clean, strategy), seeds, clients, duration_s
         )
 
     return {
@@ -105,7 +165,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest, --smoke and CI."""
+    """The section gate (``repro bench``, its ``--smoke`` and pytest)."""
     h = section["headline"]
     assert h["rollbacks"] == h["runs"], (
         f"bad push not always rolled back: {h['rollbacks']}/{h['runs']}"

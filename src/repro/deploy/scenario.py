@@ -190,3 +190,18 @@ def deploy_config(
         chaos=chaos,
         deploy=scenario,
     )
+
+
+def deploy_configs(
+    scenario: DeployScenario,
+    seeds,
+    clients: int = 120,
+    duration_s: float = 540.0,
+) -> dict:
+    """``{label: config}`` replicating ``scenario`` across ``seeds``."""
+    return {
+        f"deploy-{scenario.name}-{scenario.strategy}-{seed}": deploy_config(
+            scenario, seed=seed, clients=clients, duration_s=duration_s
+        )
+        for seed in seeds
+    }

@@ -10,8 +10,8 @@ confidence intervals.
 Everything here is a pure function of :class:`CompletedRun` plain data
 (the deploy manager's event/capacity logs and the collector), so the
 scorecard of a cached or pool-worker run is byte-identical to a serial
-one — :func:`scorecard_json` (shared with the chaos scorecard)
-canonicalizes to make that testable.
+one — :func:`~repro.metrics.export.scorecard_json` (shared with the
+chaos and market scorecards) canonicalizes to make that testable.
 
 The bounce-window SLO accounting is *failure-aware*, unlike
 :func:`~repro.capacity.cost.slo_violation_time`: a ``brutal`` bounce's
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.chaos.scorecard import _stats, scorecard_json  # noqa: F401 (re-export)
+from repro.metrics.stats import mean_ci
 
 
 def violation_seconds(
@@ -146,7 +146,7 @@ def score_scenario(scenario, runs: Sequence, slo_latency_s: float = 0.5) -> dict
     """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
     per_seed = [score_run(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([row[metric] for row in per_seed])
+        metric: mean_ci([row[metric] for row in per_seed])
         for metric in AGGREGATED
     }
     return {

@@ -33,7 +33,6 @@ import time
 
 from repro.federation.coordinator import run_federation
 from repro.federation.spec import evacuation, follow_the_sun, global_ramp
-from repro.runner.cache import ResultCache
 from repro.runner.parallel import pool_stats
 
 #: committed-gate floors (4-region full section)
@@ -44,8 +43,7 @@ SMOKE_MIN_SPEEDUP = 1.3
 
 
 # ----------------------------------------------------------------------
-def _speedup_block(spec, use_cache: bool) -> dict:
-    cache = ResultCache() if use_cache else None
+def _speedup_block(spec, cache) -> dict:
     t0 = time.perf_counter()
     serial = run_federation(spec, parallel=False, cache=None)
     serial_elapsed = time.perf_counter() - t0
@@ -129,18 +127,20 @@ def _follow_the_sun_block(scale: float, seed: int) -> dict:
 
 # ----------------------------------------------------------------------
 def run_federation_section(
+    runner,
     seed: int = 1,
     scale: float = 0.3,
     regions: int = 4,
-    use_cache: bool = False,
     smoke: bool = False,
-    parallel: bool = True,  # accepted for registry symmetry; both modes
-) -> dict:  # always run (the comparison *is* the benchmark)
-    """Build the BENCH_engine ``federation`` block."""
+) -> dict:
+    """Build the BENCH_engine ``federation`` block.
+
+    Both execution modes always run (the comparison *is* the benchmark);
+    the parallel arm goes through ``runner``'s result cache, if any."""
     if smoke:
         regions, scale = 2, min(scale, 0.1)
     spec = global_ramp(regions=regions, scale=scale, seed=seed)
-    section = _speedup_block(spec, use_cache)
+    section = _speedup_block(spec, runner.cache)
     section["scale"] = scale
     section["smoke"] = smoke
     section["evacuation"] = _evacuation_block(min(scale, 0.2), seed)

@@ -1,24 +1,21 @@
-"""The ``"market"`` section of BENCH_engine.json (shared logic).
+"""The fleet-cost harness: the ``repro market`` scenario and the
+``"market"`` section of BENCH_engine.json.
 
-One headline claim, asserted by the CI market-smoke job: on the Fig. 9
-ramp, the cost-aware fleet allocator with the ``spot-heavy`` policy meets
-the **same SLO-violation budget** as the paper's uniform on-demand pool
-at **>= 15 % lower total fleet cost**, with 95 % confidence intervals
+One headline claim, asserted by the section gate: on the Fig. 9 ramp,
+the cost-aware fleet allocator with the ``spot-heavy`` policy meets the
+**same SLO-violation budget** as the paper's uniform on-demand pool at
+**>= 15 % lower total fleet cost**, with 95 % confidence intervals
 across seeds.  The ``balanced`` arm rides along to show the
 floor/savings trade-off.
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_market.py`` is the
-CLI/pytest wrapper.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
-from repro.market.costs import score_scenario
-from repro.market.scenario import PRESETS, market_config
+from repro.market.costs import render_scorecard, score_scenario
+from repro.market.scenario import PRESETS, market_configs
+from repro.runner.scenario import Scenario, print_cache
 
 #: minimum mean savings (percent) the headline arm must clear
 MIN_SAVINGS_PCT = 15.0
@@ -26,35 +23,131 @@ MIN_SAVINGS_PCT = 15.0
 SLO_TOLERANCE_S = 10.0
 
 
+def _arm(runs, uniform: bool) -> list:
+    """The runs of the market arm (or of the uniform-pool baseline)."""
+    return [r for r in runs if (r.config.market is None) == uniform]
+
+
+class _Market(Scenario):
+    name = "market"
+    help = (
+        "run the ramp on a heterogeneous spot/on-demand fleet and "
+        "print the fleet-cost scorecard (savings vs the uniform pool)"
+    )
+    presets = PRESETS
+    default = "spot-heavy"
+    preset_help = "named market scenario preset"
+    events_help = "print the per-seed rebalance and interruption logs"
+
+    def add_options(self, parser) -> None:
+        parser.add_argument(
+            "--compare", action="store_true",
+            help="what-if over every preset fleet mix (plus the uniform "
+            "baseline) and rank the SLO-feasible mixes by cost",
+        )
+        parser.add_argument(
+            "--peak", type=int, default=500, help="ramp peak client count"
+        )
+        parser.add_argument(
+            "--scale", type=float, default=0.15,
+            help="time compression of the ramp runs (default 0.15)",
+        )
+
+    def run(self, args, seeds, runner) -> int:
+        if args.compare:
+            return self.compare(args, seeds, runner)
+        return super().run(args, seeds, runner)
+
+    def compare(self, args, seeds, runner) -> int:
+        import json
+
+        from repro.market.whatif import evaluate_mixes, render_mixes
+
+        scenarios = [make() for _, make in sorted(PRESETS.items())]
+        print(
+            f"Comparing {len(scenarios)} fleet mixes + uniform baseline "
+            f"over seeds {', '.join(str(s) for s in seeds)}..."
+        )
+        table = evaluate_mixes(
+            scenarios,
+            seeds=seeds,
+            peak=args.peak,
+            scale=args.scale,
+            slo_latency_s=args.slo,
+            runner=runner,
+        )
+        print_cache(runner)
+        print()
+        for line in render_mixes(table):
+            print(line)
+        if args.json:
+            with open(args.json, "w") as fh:
+                json.dump(table, fh, indent=2, default=float)
+                fh.write("\n")
+            print(f"\nComparison written to {args.json}")
+        return 0
+
+    def banner(self, scenario, args) -> str:
+        return (
+            f"Scenario '{scenario.name}' (policy: {scenario.policy}, "
+            f"od floor {scenario.on_demand_floor:.0%}, "
+            f"hazard {scenario.interruption_hazard_per_hour:g}/h): "
+            f"ramp to {args.peak} at scale {args.scale:g}"
+        )
+
+    def configs(self, scenario, seeds, args) -> dict:
+        return market_configs([scenario], seeds, args.peak, args.scale)
+
+    def score(self, scenario, runs, args) -> dict:
+        return score_scenario(
+            scenario, _arm(runs.values(), False), slo_latency_s=args.slo
+        )
+
+    def render(self, scorecard, runs, args) -> list[str]:
+        uniform = score_scenario(
+            None, _arm(runs.values(), True), slo_latency_s=args.slo,
+            uniform=True,
+        )
+        uni_slo = uniform["aggregate"]["slo_violation_s"]["mean"]
+        delta = scorecard["aggregate"]["slo_violation_s"]["mean"] - uni_slo
+        return render_scorecard(scorecard) + [
+            f"  uniform-pool SLO    : {uni_slo:.2f} s (delta {delta:+.2f} s)"
+        ]
+
+    def events(self, runs) -> list[str]:
+        lines = []
+        for run in _arm(runs.values(), False):
+            lines.append(f"\nSeed {run.config.seed} events")
+            for entry in run.market.rebalances:
+                lines.append(
+                    f"  t={entry['t']:7.1f}s  rebalance [{entry['action']}] "
+                    f"{entry['detail']} (target {entry['target']:.1f} vCPU)"
+                )
+            for entry in run.market.interruptions:
+                lines.append(
+                    f"  t={entry['t']:7.1f}s  interruption {entry['node']} "
+                    f"({entry['source']}, reclaim at "
+                    f"t={entry['deadline']:.1f}s)"
+                )
+        return lines
+
+
+SCENARIO = _Market()
+
+
 def run_market_section(
+    runner,
     seeds: Sequence[int] = (1, 2, 3),
     peak: int = 500,
     scale: float = 0.15,
-    parallel: bool = True,
-    use_cache: bool = False,
     slo_latency_s: float = 0.5,
 ) -> dict:
     """The ``"market"`` section of BENCH_engine.json."""
-    from repro.runner import ExperimentRunner, ResultCache
-
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
     seeds = tuple(seeds)
-
     arms = {name: PRESETS[name]() for name in ("spot-heavy", "balanced")}
-    labelled = {}
-    for name, scenario in arms.items():
-        for seed in seeds:
-            labelled[f"{name}-s{seed}"] = market_config(
-                scenario, seed=seed, peak=peak, scale=scale
-            )
-    for seed in seeds:
-        labelled[f"uniform-s{seed}"] = replace(
-            market_config(arms["spot-heavy"], seed=seed, peak=peak, scale=scale),
-            market=None,
-        )
-    results = runner.run_many(labelled)
+    results = runner.run_many(
+        market_configs(list(arms.values()), seeds, peak, scale)
+    )
 
     cards = {
         name: score_scenario(
@@ -132,7 +225,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest, --smoke and CI."""
+    """The section gate (``repro bench``, its ``--smoke`` and pytest)."""
     h = section["headline"]
     savings = h["savings_pct"]["mean"]
     assert savings >= section["min_savings_pct"], (

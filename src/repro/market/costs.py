@@ -12,34 +12,20 @@ seeds with 95 % confidence intervals.
 Everything here is a pure function of :class:`CompletedRun` plain data
 (:class:`~repro.runner.results.MarketStats` plus the collector), so the
 scorecard of a cached or pool-worker run is byte-identical to a serial
-one — :func:`scorecard_json` canonicalizes exactly like the chaos and
-deploy scorecards.
+one — :func:`~repro.metrics.export.scorecard_json` canonicalizes it
+exactly like the chaos and deploy scorecards.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Sequence
 
 from repro.capacity.cost import slo_violation_time
+from repro.metrics.stats import mean_ci
 
 #: hourly price of the uniform pool's calibrated machine (std.small ==
 #: CostModel.node_hour_cost — see repro.market.catalog)
 UNIFORM_NODE_HOUR_COST = 1.0
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    clean = [v for v in values if v == v]  # drop NaNs
-    if not clean:
-        return {"mean": float("nan"), "ci95": 0.0, "n": 0}
-    mean = sum(clean) / len(clean)
-    if len(clean) > 1:
-        var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-        ci = 1.96 * math.sqrt(var) / math.sqrt(len(clean))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(clean)}
 
 
 def _run_window(config) -> float:
@@ -167,7 +153,7 @@ def score_scenario(
     scorer = score_uniform_run if uniform else score_run
     per_seed = [scorer(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([float(row[metric]) for row in per_seed])
+        metric: mean_ci([float(row[metric]) for row in per_seed])
         for metric in AGGREGATED
     }
     return {
@@ -181,27 +167,8 @@ def score_scenario(
 
 
 # ----------------------------------------------------------------------
-# Canonical serialization (byte-identity) and rendering
+# Rendering
 # ----------------------------------------------------------------------
-def _canonical(value):
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        if value != value:
-            return None  # NaN is not valid JSON; canonicalize to null
-        return round(value, 9)
-    return value
-
-
-def scorecard_json(scorecard: dict) -> str:
-    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
-    null.  Two runs of the same scenario + seeds — serial, parallel or
-    cache-resolved — must produce byte-identical output."""
-    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"
-
-
 def render_scorecard(scorecard: dict) -> list[str]:
     """Human-readable scorecard block for the CLI."""
     agg = scorecard["aggregate"]

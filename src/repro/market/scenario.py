@@ -20,6 +20,7 @@ spot replicas are repaired).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.market.catalog import DEFAULT_CATALOG, InstanceType, by_name
 
@@ -159,7 +160,7 @@ PRESETS = {
 
 
 def market_config(
-    scenario: MarketScenario,
+    scenario: Optional[MarketScenario],
     seed: int = 1,
     peak: int = 500,
     scale: float = 0.15,
@@ -168,7 +169,8 @@ def market_config(
     """Pack a scenario into the §5.2 ramp (Fig. 9) — the workload the
     cost headline is measured on.  Managed (reactive self-sizing) with
     self-recovery on: interrupted spot replicas must be repaired, not
-    mourned."""
+    mourned.  ``scenario=None`` is the paper's uniform pool on the same
+    ramp — the baseline every fleet's cost is compared against."""
     from repro.jade.system import ExperimentConfig
     from repro.workload.profiles import RampProfile
 
@@ -188,3 +190,26 @@ def market_config(
         hardware_scale=float(cohort),
         market=scenario,
     )
+
+
+def market_configs(
+    scenarios: Sequence[MarketScenario],
+    seeds: Sequence[int],
+    peak: int = 500,
+    scale: float = 0.15,
+    cohort: int = 1,
+    uniform: bool = True,
+) -> dict:
+    """``{label: config}`` for every scenario x seed (``"<name>-s<seed>"``)
+    plus, with ``uniform``, the uniform-pool baseline arm per seed
+    (``"uniform-s<seed>"``)."""
+    arms = [(s.name, s) for s in scenarios]
+    if uniform:
+        arms.append(("uniform", None))
+    return {
+        f"{name}-s{seed}": market_config(
+            scenario, seed=seed, peak=peak, scale=scale, cohort=cohort
+        )
+        for name, scenario in arms
+        for seed in seeds
+    }

@@ -16,11 +16,10 @@ mix meets the forecast demand at minimum cost?" answered with evidence.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.market.costs import score_scenario
-from repro.market.scenario import MarketScenario, market_config
+from repro.market.scenario import MarketScenario, market_configs
 
 
 def evaluate_mixes(
@@ -46,17 +45,9 @@ def evaluate_mixes(
 
         runner = ExperimentRunner()
 
-    labelled = {}
-    for scenario in scenarios:
-        for seed in seeds:
-            labelled[f"{scenario.name}-s{seed}"] = market_config(
-                scenario, seed=seed, peak=peak, scale=scale, cohort=cohort
-            )
-    if include_uniform:
-        base = scenarios[0] if scenarios else MarketScenario("on-demand", policy="on-demand", on_demand_floor=1.0)
-        for seed in seeds:
-            cfg = market_config(base, seed=seed, peak=peak, scale=scale, cohort=cohort)
-            labelled[f"uniform-s{seed}"] = replace(cfg, market=None)
+    labelled = market_configs(
+        scenarios, seeds, peak, scale, cohort, uniform=include_uniform
+    )
     results = runner.run_many(labelled)
 
     uniform_card: Optional[dict] = None

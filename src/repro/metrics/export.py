@@ -3,7 +3,8 @@
 Turns a :class:`~repro.metrics.collector.MetricsCollector` into portable
 artifacts: long-format CSV rows (one per series sample — convenient for
 pandas/gnuplot) and a JSON document with the summary statistics, replica
-staircases and the reconfiguration event log.
+staircases and the reconfiguration event log — plus the canonical JSON
+every multi-seed scorecard is written in.
 """
 
 from __future__ import annotations
@@ -117,3 +118,22 @@ def write_json(
             fh,
             indent=2,
         )
+
+
+def _canonical(value):
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, float):
+        if value != value:
+            return None  # NaN is not valid JSON; canonicalize to null
+        return round(value, 9)
+    return value
+
+
+def scorecard_json(scorecard: dict) -> str:
+    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
+    null.  Two runs of the same scenario + seeds — serial, parallel or
+    cache-resolved — must produce byte-identical output."""
+    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"

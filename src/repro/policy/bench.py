@@ -7,14 +7,11 @@ The gate is the operator's bargain — the tuned cell must cut SLO
 violation seconds without buying the win with capacity (node-hours
 within +2 % of the defaults).
 
-Also hosts the tuner's own CI smoke (``make tune-smoke``): a tiny 2×2
-threshold grid where the one sane cell (paper-default thresholds) must
-rank first and every known-bad cell (a grow threshold at 0.99, so that
-tier never scales up) must score strictly worse.
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_policy.py`` is the
-CLI/pytest wrapper.
+Under ``--smoke`` (``make policy-smoke``) the section also runs the
+tuner's own ranking smoke: a tiny 2×2 threshold grid where the one sane
+cell (paper-default thresholds) must rank first and every known-bad
+cell (a grow threshold at 0.99, so that tier never scales up) must
+score strictly worse.
 """
 
 from __future__ import annotations
@@ -22,13 +19,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.metrics.stats import mean_ci
 from repro.policy.tune import (
     PAPER_DEFAULT,
     TuneObjective,
     TunePoint,
     TuneSpec,
-    _stats,
     load_tuned_point,
+    render_report,
     run_tune,
     score_run,
 )
@@ -43,18 +41,19 @@ NODE_HOURS_MARGIN = 1.02
 
 
 def run_policy_section(
+    runner,
     seeds: Sequence[int] = (1, 2, 3),
     scale: float = 0.15,
-    parallel: bool = True,
-    use_cache: bool = False,
     tuned: Optional[TunePoint] = None,
+    tune_smoke: bool = False,
 ) -> dict:
-    """The ``"policy"`` section of BENCH_engine.json."""
-    from repro.runner import ExperimentRunner, ResultCache
+    """The ``"policy"`` section of BENCH_engine.json.
 
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
+    ``tune_smoke`` first runs (and prints) the tuner's own 2x2 ranking
+    smoke, which raises ``AssertionError`` when the ranking is wrong."""
+    if tune_smoke:
+        print(render_report(run_tune_smoke(runner, scale), top=4))
+        print()
     seeds = tuple(seeds)
     if tuned is None:
         tuned = load_tuned_point(TUNED_CONFIG_PATH)
@@ -80,12 +79,12 @@ def run_policy_section(
         ]
         section["arms"][arm] = {
             "point": point.to_record(),
-            "slo_violation_s": _stats(
+            "slo_violation_s": mean_ci(
                 [s["slo_violation_s"] for s in per_seed]
             ),
-            "node_hours": _stats([s["node_hours"] for s in per_seed]),
-            "reconfigs": _stats([s["reconfigs"] for s in per_seed]),
-            "score": _stats([s["score"] for s in per_seed]),
+            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
+            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
+            "score": mean_ci([s["score"] for s in per_seed]),
         }
     default, tuned_arm = section["arms"]["default"], section["arms"]["tuned"]
     section["gate"] = {
@@ -138,7 +137,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest and --smoke."""
+    """The section gate (``repro bench``, its ``--smoke`` and pytest)."""
     n_seeds = len(section["seeds"])
     for arm in ("default", "tuned"):
         a = section["arms"][arm]
@@ -154,7 +153,7 @@ def check_section(section: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Tuner smoke (make tune-smoke)
+# Tuner ranking smoke (make policy-smoke)
 # ----------------------------------------------------------------------
 def smoke_spec(scale: float = 0.15) -> TuneSpec:
     """2×2 grid: both grow thresholds at paper default vs. at 0.99."""
@@ -168,15 +167,8 @@ def smoke_spec(scale: float = 0.15) -> TuneSpec:
     )
 
 
-def run_tune_smoke(
-    scale: float = 0.15, parallel: bool = True, use_cache: bool = False
-) -> dict:
+def run_tune_smoke(runner, scale: float = 0.15) -> dict:
     """Run the smoke grid and assert the tuner's ranking is sane."""
-    from repro.runner import ExperimentRunner, ResultCache
-
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
     report = run_tune(smoke_spec(scale), runner=runner)
     assert len(report["cells"]) == 4
     # The one sane cell (paper-default thresholds) must win outright;

@@ -27,31 +27,18 @@ against the paper defaults.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
+from repro.metrics.stats import mean_ci
 from repro.policy.api import PolicyConfig
 
 #: chaos arm constants (match the chaos bench's campaign geometry)
 CHAOS_CLIENTS = 60
 CHAOS_DURATION_S = 420.0
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    ci = (
-        1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-        if len(arr) > 1
-        else 0.0
-    )
-    return {"mean": mean, "ci95": ci, "n": len(arr)}
 
 
 @dataclass(frozen=True)
@@ -338,10 +325,10 @@ def run_tune(
         cell = {
             "point": point.to_record(),
             "label": point.label,
-            "slo_violation_s": _stats([s["slo_violation_s"] for s in per_seed]),
-            "node_hours": _stats([s["node_hours"] for s in per_seed]),
-            "reconfigs": _stats([s["reconfigs"] for s in per_seed]),
-            "score": _stats([s["score"] for s in per_seed]),
+            "slo_violation_s": mean_ci([s["slo_violation_s"] for s in per_seed]),
+            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
+            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
+            "score": mean_ci([s["score"] for s in per_seed]),
         }
         if campaign is not None:
             from repro.chaos import score_campaign
@@ -354,7 +341,7 @@ def run_tune(
             cell["mttr_s"] = mttr
             mean = mttr["mean"]
             if mean == mean:  # not NaN (NaN = no repair observed)
-                cell["score"] = _stats(
+                cell["score"] = mean_ci(
                     [
                         s["score"] + objective.mttr_weight * mean
                         for s in per_seed

@@ -1,31 +1,42 @@
 """The ``repro bench`` engine benchmark.
 
-The always-on **micro** layer times the kernel and PS-CPU scenarios from
-``benchmarks/bench_micro_engine.py`` best-of-N against the committed
-pre-optimization baselines (events/s, jobs/s, speedups).  Every other
-section of BENCH_engine.json — ramp, whatif, sweep, chaos, deploy,
-market, fluid — lives in the :data:`SECTIONS` registry and is skipped
-through the single ``skip`` parameter (``repro bench --skip NAME``;
-``--micro-only`` skips them all), so a full committed report is one
-``repro bench --out BENCH_engine.json`` invocation.
+Every section of BENCH_engine.json — micro, ramp, whatif, sweep, chaos,
+deploy, market, fluid, policy, federation — is one :class:`Section`
+record in the :data:`SECTIONS` registry: how to run it, render it and
+check it, plus the settings of its fast ``--smoke`` CI gate.
+``repro bench`` runs every section (``--skip NAME`` leaves some out,
+``--micro-only`` keeps only the micro timings); ``repro bench --section
+NAME [--smoke]`` runs the named ones.  Either way each section is
+rendered, then checked, and a failed check fails the command.
 
-The CI perf-smoke job runs ``repro bench --check BENCH_engine.json`` and
-fails if the fresh micro timings drift more than the tolerance from the
+The **micro** section times the kernel and PS-CPU scenarios
+from ``benchmarks/bench_micro_engine.py`` best-of-N against the committed
+pre-optimization baselines (events/s, jobs/s, speedups).  The CI
+perf-smoke job runs ``repro bench --check BENCH_engine.json`` and fails
+if the fresh micro timings drift more than the tolerance from the
 committed numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.chaos import bench as chaos_bench
+from repro.deploy import bench as deploy_bench
+from repro.federation import bench as federation_bench
+from repro.market import bench as market_bench
+from repro.metrics.stats import mean_ci
+from repro.policy import bench as policy_bench
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
+from repro.workload import fluid_bench
 
 #: wall-clock of the micro scenarios before the engine fast-path work
 #: (event freelist, bucketed timers, token-guarded PS wakes), measured
@@ -95,17 +106,22 @@ def run_micro(rounds: int = 10) -> dict[str, dict[str, float]]:
     }
 
 
+def render_micro(block: dict) -> str:
+    kernel, ps = block["kernel_10k_events"], block["ps_cpu_5k_jobs"]
+    return "\n".join([
+        "Micro scenarios (best-of timings):",
+        f"  kernel 10k events : {kernel['best_s'] * 1e3:.2f} ms  "
+        f"({kernel['events_per_s']:,.0f} events/s, "
+        f"{kernel['speedup_vs_baseline']:.2f}x baseline)",
+        f"  PS-CPU 5k jobs    : {ps['best_s'] * 1e3:.2f} ms  "
+        f"({ps['jobs_per_s']:,.0f} jobs/s, "
+        f"{ps['speedup_vs_baseline']:.2f}x baseline)",
+    ])
+
+
 # ----------------------------------------------------------------------
 # Multi-seed ramp replication
 # ----------------------------------------------------------------------
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if len(arr) > 1:
-        ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(arr)}
 
 
 def _ramp_config(
@@ -179,10 +195,10 @@ def run_ramp_replication(
         summaries = [results[f"{arm}-{s}"].summary() for s in seeds]
         walls = [results[f"{arm}-{s}"].wall_time_s for s in seeds]
         arms[arm] = {
-            "throughput_rps": _stats([s["throughput_rps"] for s in summaries]),
-            "latency_mean_ms": _stats([s["latency_mean_ms"] for s in summaries]),
-            "completed": _stats([s["completed"] for s in summaries]),
-            "wall_time_s": _stats(walls),
+            "throughput_rps": mean_ci([s["throughput_rps"] for s in summaries]),
+            "latency_mean_ms": mean_ci([s["latency_mean_ms"] for s in summaries]),
+            "completed": mean_ci([s["completed"] for s in summaries]),
+            "wall_time_s": mean_ci(walls),
         }
     serial_estimate = sum(r.wall_time_s for r in results.values())
     block = {
@@ -204,6 +220,29 @@ def run_ramp_replication(
             "misses": warm["misses"],
         }
     return block
+
+
+def render_ramp(ramp: dict) -> str:
+    lines = [
+        f"Ramp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
+        f"{ramp['parallel_elapsed_s']:.1f}s elapsed "
+        f"(serial estimate {ramp['serial_estimate_s']:.1f}s)"
+    ]
+    for arm, stats in ramp["arms"].items():
+        thr = stats["throughput_rps"]
+        lat = stats["latency_mean_ms"]
+        lines.append(
+            f"  {arm:<8s} throughput {thr['mean']:.2f} +/- {thr['ci95']:.2f} "
+            f"req/s, latency {lat['mean']:.1f} +/- {lat['ci95']:.1f} ms"
+        )
+    if "cache" in ramp:
+        c = ramp["cache"]
+        lines.append(
+            f"  cache: cold {c['cold']['hits']} hits / "
+            f"{c['cold']['misses']} misses, warm {c['warm']['hits']} hits "
+            f"/ {c['warm']['misses']} misses ({c['dir']})"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -358,153 +397,190 @@ def run_sweep_bench() -> dict:
     }
 
 
+def render_whatif(w: dict) -> str:
+    return (
+        f"What-if {w['candidates']}-candidate decision: "
+        f"serial {w['serial_s']:.2f}s, parallel cold "
+        f"{w['parallel_cold_s']:.2f}s ({w['speedup_parallel']:.2f}x), "
+        f"memoized {w['memoized_s']:.3f}s ({w['speedup_memoized']:.1f}x); "
+        f"byte-identical: {w['byte_identical']}, winner {w['winner']}"
+    )
+
+
+def check_whatif_section(w: dict) -> None:
+    assert w["byte_identical"], "parallel/memoized what-if report drifted"
+    assert w["same_winner"], "parallel/memoized what-if winner drifted"
+
+
+def render_sweep(s: dict) -> str:
+    return (
+        f"Sweep {s['spec']['cells']} cells: cold "
+        f"{s['cold']['rows_per_s']:.1f} rows/s, warm "
+        f"{s['warm']['rows_per_s']:.0f} rows/s (cache-resolved)"
+    )
+
+
+def check_sweep_section(s: dict) -> None:
+    warm = s["warm"]["cache"]
+    assert s["rows_identical"], "warm sweep rows drifted from cold"
+    assert warm["misses"] == 0 and warm["hits"] > 0, (
+        "warm sweep pass did not resolve from the cache"
+    )
+
+
 # ----------------------------------------------------------------------
 # Section registry + entry points
 # ----------------------------------------------------------------------
-def _section_ramp(ctx: dict) -> dict:
-    runner = ExperimentRunner(
-        cache=ResultCache() if ctx["use_cache"] else None,
-        parallel=ctx["parallel"],
-    )
-    return run_ramp_replication(
-        ctx["seeds"],
-        ctx["scale"],
-        runner,
-        fluid=ctx["fluid"],
-        fluid_threshold=ctx["fluid_threshold"],
-    )
+@dataclasses.dataclass(frozen=True)
+class BenchContext:
+    """The knobs a section run reads (``repro bench`` flags)."""
+
+    seeds: tuple[int, ...] = (1, 2, 3)
+    scale: float = 0.15
+    rounds: int = 10
+    whatif_candidates: int = 8
+    fluid: bool = False
+    fluid_threshold: int = 0
+    million_budget_s: float = fluid_bench.MILLION_BUDGET_S
+    smoke: bool = False
 
 
-def _section_whatif(ctx: dict) -> dict:
-    return run_whatif_bench(candidates=ctx["whatif_candidates"])
+def _unchecked(block: dict) -> None:
+    """Sections whose numbers are recorded, not gated."""
 
 
-def _section_sweep(ctx: dict) -> dict:
-    return run_sweep_bench()
+@dataclasses.dataclass(frozen=True)
+class Section:
+    """One BENCH_engine.json section."""
+
+    #: ``run(runner, ctx) -> block``; ``runner`` is shared by every section
+    run: Callable[[ExperimentRunner, BenchContext], dict]
+    render: Callable[[dict], str]
+    #: raises ``AssertionError`` when the block breaks the section's claim
+    check: Callable[[dict], None] = _unchecked
+    #: :class:`BenchContext` overrides under ``--smoke`` (the CI gate)
+    smoke: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
 
-def _section_chaos(ctx: dict) -> dict:
-    from repro.chaos.bench import run_chaos_section
+_ONE_SEED = {"seeds": (1,)}
 
-    return run_chaos_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_deploy(ctx: dict) -> dict:
-    from repro.deploy.bench import run_deploy_section
-
-    return run_deploy_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_market(ctx: dict) -> dict:
-    from repro.market.bench import run_market_section
-
-    return run_market_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_fluid(ctx: dict) -> dict:
-    from repro.workload.fluid_bench import run_fluid_section
-
-    return run_fluid_section(
-        seed=ctx["seeds"][0],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_policy(ctx: dict) -> dict:
-    from repro.policy.bench import run_policy_section
-
-    return run_policy_section(
-        seeds=ctx["seeds"],
-        scale=ctx["scale"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_federation(ctx: dict) -> dict:
-    from repro.federation.bench import run_federation_section
-
-    return run_federation_section(
-        seed=ctx["seeds"][0],
-        use_cache=ctx["use_cache"],
-        parallel=ctx["parallel"],
-    )
-
-
-#: every BENCH_engine.json section beyond the always-on ``micro`` block,
-#: in report order.  ``run_bench(skip=...)`` names entries here — the one
-#: skip mechanism for all subsystem benches (``--micro-only`` == skip all).
-#: ``federation`` runs last so its shared-pool snapshot reflects every
-#: fan-out the earlier sections made.
-SECTIONS = {
-    "ramp": _section_ramp,
-    "whatif": _section_whatif,
-    "sweep": _section_sweep,
-    "chaos": _section_chaos,
-    "deploy": _section_deploy,
-    "market": _section_market,
-    "fluid": _section_fluid,
-    "policy": _section_policy,
-    "federation": _section_federation,
+#: every BENCH_engine.json section, in report order.  ``federation``
+#: runs last so its shared-pool snapshot reflects every fan-out the
+#: earlier sections made.
+SECTIONS: dict[str, Section] = {
+    "micro": Section(lambda runner, ctx: run_micro(ctx.rounds), render_micro),
+    "ramp": Section(
+        lambda runner, ctx: run_ramp_replication(
+            ctx.seeds, ctx.scale, runner, ctx.fluid, ctx.fluid_threshold
+        ),
+        render_ramp,
+    ),
+    "whatif": Section(
+        lambda runner, ctx: run_whatif_bench(ctx.whatif_candidates),
+        render_whatif,
+        check_whatif_section,
+    ),
+    "sweep": Section(
+        lambda runner, ctx: run_sweep_bench(), render_sweep, check_sweep_section
+    ),
+    "chaos": Section(
+        lambda runner, ctx: chaos_bench.run_chaos_section(runner, ctx.seeds),
+        chaos_bench.render_section,
+        chaos_bench.check_section,
+        smoke=_ONE_SEED,
+    ),
+    "deploy": Section(
+        lambda runner, ctx: deploy_bench.run_deploy_section(runner, ctx.seeds),
+        deploy_bench.render_section,
+        deploy_bench.check_section,
+        smoke=_ONE_SEED,
+    ),
+    "market": Section(
+        lambda runner, ctx: market_bench.run_market_section(runner, ctx.seeds),
+        market_bench.render_section,
+        market_bench.check_section,
+        smoke=_ONE_SEED,
+    ),
+    "fluid": Section(
+        lambda runner, ctx: fluid_bench.run_fluid_section(
+            runner, ctx.seeds[0], million_budget_s=ctx.million_budget_s
+        ),
+        fluid_bench.render_section,
+        fluid_bench.check_section,
+        smoke={"million_budget_s": fluid_bench.SMOKE_BUDGET_S},
+    ),
+    "policy": Section(
+        lambda runner, ctx: policy_bench.run_policy_section(
+            runner, ctx.seeds, ctx.scale, tune_smoke=ctx.smoke
+        ),
+        policy_bench.render_section,
+        policy_bench.check_section,
+        smoke=_ONE_SEED,
+    ),
+    "federation": Section(
+        lambda runner, ctx: federation_bench.run_federation_section(
+            runner, ctx.seeds[0], smoke=ctx.smoke
+        ),
+        federation_bench.render_section,
+        federation_bench.check_section,
+    ),
 }
 
 
-def run_bench(
-    out_path: Optional[str] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-    scale: float = 0.15,
-    rounds: int = 10,
-    parallel: bool = True,
-    use_cache: bool = True,
-    skip: Sequence[str] = (),
-    whatif_candidates: int = 8,
-    fluid: bool = False,
-    fluid_threshold: int = 0,
+def run_section(
+    name: str, runner: ExperimentRunner, ctx: BenchContext = BenchContext()
 ) -> dict:
-    """Run the full engine benchmark; optionally write BENCH_engine.json.
+    """Compute one section's block (``ctx.smoke`` applies its overrides)."""
+    section = SECTIONS[name]
+    if ctx.smoke:
+        ctx = dataclasses.replace(ctx, **section.smoke)
+    return section.run(runner, ctx)
 
-    ``skip`` names :data:`SECTIONS` entries to leave out; everything else
-    runs in registry order after the micro scenarios.  ``fluid`` /
-    ``fluid_threshold`` switch the ramp-replication arms onto the hybrid
-    fluid workload engine (the dedicated ``fluid`` section always
-    benchmarks both modes)."""
-    unknown = set(skip) - set(SECTIONS)
+
+def run_bench(
+    names: Sequence[str],
+    runner: ExperimentRunner,
+    ctx: BenchContext = BenchContext(),
+    out_path: str | None = None,
+) -> list[str]:
+    """Run, render and check each named section in registry order.
+
+    Returns one line per failed section (empty when all pass).  Only an
+    all-passing report is merged into ``out_path`` (sections already in
+    the file and not run here are kept), so a failing section can never
+    reach a committed BENCH_engine.json.
+    """
+    if not __debug__:
+        raise RuntimeError(
+            "section checks are assert statements; run without python -O"
+        )
+    unknown = set(names) - set(SECTIONS)
     if unknown:
         raise ValueError(
             f"unknown bench section(s) {sorted(unknown)}; "
             f"choose from {list(SECTIONS)}"
         )
-    ctx = {
-        "seeds": tuple(seeds),
-        "scale": scale,
-        "parallel": parallel,
-        "use_cache": use_cache,
-        "whatif_candidates": whatif_candidates,
-        "fluid": fluid,
-        "fluid_threshold": fluid_threshold,
-    }
-    report: dict = {"micro": run_micro(rounds)}
-    for name, section in SECTIONS.items():
-        if name not in skip:
-            report[name] = section(ctx)
-    if out_path:
-        Path(out_path).write_text(
-            json.dumps(report, indent=2, default=float) + "\n"
-        )
-    return report
+    report: dict = {}
+    failures: list[str] = []
+    for name in (n for n in SECTIONS if n in names):
+        label = f"{name}-smoke" if ctx.smoke else name
+        try:
+            block = report[name] = run_section(name, runner, ctx)
+            print()
+            print(SECTIONS[name].render(block))
+            SECTIONS[name].check(block)
+        except AssertionError as exc:
+            failures.append(f"{label}: FAIL {exc}")
+            print(failures[-1])
+        else:
+            print(f"{label}: PASS")
+    if out_path and not failures:
+        path = Path(out_path)
+        merged = json.loads(path.read_text()) if path.exists() else {}
+        merged.update(report)
+        path.write_text(json.dumps(merged, indent=2, default=float) + "\n")
+        print(f"\nReport written to {out_path}")
+    return failures
 
 
 def check_against(
@@ -532,6 +608,17 @@ def check_against(
     return ok, lines
 
 
+def _passes(label: str, check: Callable[[dict], None], block: dict,
+            lines: list[str]) -> bool:
+    try:
+        check(block)
+    except (AssertionError, KeyError) as exc:
+        lines.append(f"{label}: FAIL {exc}")
+        return False
+    lines.append(f"{label}: ok")
+    return True
+
+
 def check_whatif(
     reference_path: str, min_speedup: float = 3.0
 ) -> tuple[bool, list[str]]:
@@ -545,44 +632,24 @@ def check_whatif(
     identical rows.  Returns (ok, report lines).
     """
     reference = json.loads(Path(reference_path).read_text())
-    ok = True
-    lines = []
-
     committed = reference.get("whatif")
     if committed is None:
         return False, [f"{reference_path}: no 'whatif' section committed"]
-    checks = [
-        ("byte_identical", committed.get("byte_identical") is True),
-        ("same_winner", committed.get("same_winner") is True),
-        (
-            f"speedup_memoized >= {min_speedup:g}",
-            committed.get("speedup_memoized", 0.0) >= min_speedup,
-        ),
-    ]
-    for name, passed in checks:
-        ok = ok and passed
-        lines.append(f"committed whatif.{name}: {'ok' if passed else 'FAIL'}")
 
-    live = run_whatif_bench(candidates=2)
-    for name in ("byte_identical", "same_winner"):
-        passed = live[name] is True
-        ok = ok and passed
-        lines.append(
-            f"live 2-candidate parallel decision {name}: "
-            f"{'ok' if passed else 'FAIL'}"
+    def committed_check(w: dict) -> None:
+        check_whatif_section(w)
+        assert w["speedup_memoized"] >= min_speedup, (
+            f"speedup_memoized below {min_speedup:g}"
         )
-    lines.append(
-        f"live decision: serial {live['serial_s']:.2f}s, memoized "
-        f"{live['memoized_s']:.3f}s ({live['speedup_memoized']:.1f}x)"
-    )
 
-    sweep = run_sweep_bench()
-    sweep_checks = [
-        ("rows_identical", sweep["rows_identical"] is True),
-        ("warm pass cache-resolved", sweep["warm"]["cache"]["misses"] == 0),
-        ("warm pass hits > 0", sweep["warm"]["cache"]["hits"] > 0),
-    ]
-    for name, passed in sweep_checks:
-        ok = ok and passed
-        lines.append(f"live 2x2 sweep {name}: {'ok' if passed else 'FAIL'}")
+    lines: list[str] = []
+    ok = _passes("committed whatif section", committed_check, committed, lines)
+    live = run_whatif_bench(candidates=2)
+    ok = _passes(
+        "live 2-candidate parallel decision", check_whatif_section, live, lines
+    ) and ok
+    lines.append(render_whatif(live))
+    ok = _passes(
+        "live 2x2 sweep", check_sweep_section, run_sweep_bench(), lines
+    ) and ok
     return ok, lines

@@ -39,7 +39,7 @@ the level grows at the capacity deficit, and after a replica is added the
 queue drains at the real drain rate — latencies of tens of seconds emerge
 exactly where the discrete engine shows them (an equilibrium-only solve
 misses those spikes entirely; the accuracy gate in
-``benchmarks/bench_fluid.py`` would catch that).  An explicit Euler step
+:mod:`repro.workload.fluid_bench` would catch that).  An explicit Euler step
 would need millisecond ticks (service times) — the implicit step is
 unconditionally stable at the 1 s tick.
 
@@ -66,7 +66,7 @@ What is approximated: short-timescale stochastic queueing variance
 (latency percentiles compress toward the mean), per-node *memory* samples
 (a fluid job often completes before the 1 s node sampler looks), and
 partitioned replicas are treated as removed instead of flooding failures.
-``benchmarks/bench_fluid.py`` gates the part that matters: replica-count
+:mod:`repro.workload.fluid_bench` gates the part that matters: replica-count
 trajectories identical to discrete on the paper's ramp, latency and
 utilization within a stated tolerance.
 """

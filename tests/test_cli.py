@@ -315,3 +315,105 @@ class TestCacheCommand:
         ResultCache(target).store("b" * 64, {"payload": 2})
         assert main(["cache", "stats", "--dir", str(target)]) == 0
         assert "entries   : 1" in capsys.readouterr().out
+
+
+class TestScenarioCommands:
+    @pytest.mark.parametrize("command", ["chaos", "deploy", "market"])
+    def test_empty_seeds_rejected(self, command, capsys):
+        assert main([command, "--seeds", ","]) == 2
+        assert "--seeds is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, default",
+        [
+            ("chaos", "campaign", "crash"),
+            ("deploy", "scenario", "clean-push"),
+            ("market", "scenario", "spot-heavy"),
+        ],
+    )
+    def test_shared_flags(self, command, flag, default):
+        args = build_parser().parse_args([command])
+        assert getattr(args, flag) == default
+        assert args.seeds == "1,2,3"
+        assert args.slo == 0.5
+        assert args.json is None
+        assert not (args.events or args.serial or args.no_cache)
+        assert args.workers is None
+
+
+class TestBenchRegistry:
+    @pytest.fixture
+    def fake_sections(self, monkeypatch):
+        """Swap in a registry of two cheap sections; ``seen`` records the
+        context each run received."""
+        from repro.runner import bench
+
+        seen = {}
+
+        def run(name):
+            def _run(runner, ctx):
+                seen[name] = ctx
+                return {"value": len(ctx.seeds)}
+            return _run
+
+        def failing_check(block):
+            assert block["value"] == 0, "value must be zero"
+
+        monkeypatch.setattr(bench, "SECTIONS", {
+            "good": bench.Section(run("good"), lambda b: "good block"),
+            "bad": bench.Section(
+                run("bad"), lambda b: "bad block", failing_check,
+                smoke={"seeds": (1,)},
+            ),
+        })
+        return seen
+
+    def test_failing_check_exits_nonzero(self, fake_sections, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["bench", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "good: PASS" in captured.out
+        assert "bad: FAIL value must be zero" in captured.err
+        assert not out.exists()  # a failing section never reaches the file
+
+    def test_section_runs_and_merges(self, fake_sections, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text(json.dumps({"kept": {"x": 1}}))
+        assert main(["bench", "--section", "good", "--seeds", "2",
+                     "--out", str(out)]) == 0
+        assert "good block" in capsys.readouterr().out
+        assert json.loads(out.read_text()) == {
+            "kept": {"x": 1}, "good": {"value": 2}
+        }
+        assert set(fake_sections) == {"good"}
+
+    def test_smoke_applies_section_overrides(self, fake_sections, capsys):
+        assert main(["bench", "--section", "good", "--section", "bad",
+                     "--smoke"]) == 1
+        assert fake_sections["good"].seeds == (1, 2, 3)
+        assert fake_sections["bad"].seeds == (1,)
+        assert fake_sections["bad"].smoke
+        assert "good-smoke: PASS" in capsys.readouterr().out
+
+    def test_refuses_to_run_without_assertions(self, tmp_path):
+        import subprocess
+        import sys
+
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "repro", "bench", "--section",
+             "micro", "--rounds", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "without python -O" in proc.stderr
+        assert not out.exists()
+
+    def test_every_section_has_hooks(self):
+        from repro.runner.bench import SECTIONS, BenchContext
+
+        assert list(SECTIONS)[0] == "micro"
+        assert list(SECTIONS)[-1] == "federation"
+        for section in SECTIONS.values():
+            assert callable(section.run) and callable(section.render)
+            assert set(section.smoke) <= set(BenchContext.__dataclass_fields__)

@@ -297,7 +297,7 @@ class TestAccuracyGateEndToEnd:
             run_fluid_section,
         )
 
-        section = run_fluid_section(use_cache=False)
+        section = run_fluid_section(ExperimentRunner())
         check_section(section)  # replica identity, tolerances, 1M budget
         gate = section["accuracy"]
         assert gate["replica_sequences"]["database"]["fluid"][-1] == 1

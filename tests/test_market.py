@@ -25,10 +25,10 @@ from repro.market.allocator import FleetAllocator
 from repro.market.costs import (
     score_scenario,
     score_uniform_run,
-    scorecard_json,
     uniform_fleet_cost,
 )
 from repro.market.engine import MarketEngine
+from repro.metrics.export import scorecard_json
 from repro.runner import CompletedRun, ExperimentRunner, ResultCache
 from repro.simulation.rng import RngStreams
 
@@ -482,3 +482,30 @@ class TestScorecard:
         assert warm_cache.hits == len(seeds)
         assert serial == parallel
         assert serial == cached
+
+
+def test_market_configs_uniform_arm():
+    """The uniform baseline arm is the market arm's ramp with the market
+    removed — same config (and so the same cache key) whichever
+    scenario it is built beside."""
+    from repro.market.scenario import market_configs
+    from repro.runner.cache import describe_config
+
+    spot, balanced = PRESETS["spot-heavy"](), PRESETS["balanced"]()
+    both = market_configs([spot, balanced], (1, 2), peak=300, scale=0.1)
+    assert list(both) == [
+        "spot-heavy-s1", "spot-heavy-s2", "balanced-s1", "balanced-s2",
+        "uniform-s1", "uniform-s2",
+    ]
+    for seed in (1, 2):
+        legacy = dataclasses.replace(
+            market_config(spot, seed=seed, peak=300, scale=0.1), market=None
+        )
+        assert describe_config(both[f"uniform-s{seed}"]) == describe_config(
+            legacy
+        )
+    alone = market_configs([balanced], (1,), peak=300, scale=0.1)
+    assert describe_config(alone["uniform-s1"]) == describe_config(
+        both["uniform-s1"]
+    )
+    assert "uniform-s1" not in market_configs([spot], (1,), uniform=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.jade.system import ExperimentConfig
+from repro.metrics.stats import mean_ci
 from repro.runner import (
     CompletedRun,
     ExperimentRunner,
@@ -14,7 +15,7 @@ from repro.runner import (
     describe_config,
     execute_config,
 )
-from repro.runner.bench import _stats, check_against
+from repro.runner.bench import check_against
 from repro.workload.profiles import ConstantProfile
 
 
@@ -228,11 +229,18 @@ class TestExperimentRunner:
 # ----------------------------------------------------------------------
 class TestBench:
     def test_stats_confidence_interval(self):
-        out = _stats([10.0, 12.0, 14.0])
+        out = mean_ci([10.0, 12.0, 14.0])
         assert out["mean"] == pytest.approx(12.0)
         assert out["n"] == 3
         assert out["ci95"] == pytest.approx(1.96 * 2.0 / np.sqrt(3))
-        assert _stats([5.0])["ci95"] == 0.0
+        assert mean_ci([5.0])["ci95"] == 0.0
+
+    def test_stats_drop_nan_samples(self):
+        nan = float("nan")
+        assert mean_ci([10.0, nan, 12.0, 14.0]) == mean_ci([10.0, 12.0, 14.0])
+        empty = mean_ci([nan, nan])
+        assert empty["n"] == 0 and empty["ci95"] == 0.0
+        assert empty["mean"] != empty["mean"]
 
     def test_check_against_passes_generous_reference(self, tmp_path):
         ref = tmp_path / "ref.json"
