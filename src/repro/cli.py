@@ -231,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--controllers", default="default", metavar="LIST",
         help="comma-separated control-loop policy plugins: 'default' "
-        "(each cell's legacy reactor) and/or PolicyConfig strings such "
-        "as queue-model, adaptive-threshold, 'forecast:lead_s=90' "
-        "(default default)",
+        "(the paper's threshold policy) and/or PolicyConfig strings "
+        "such as queue-model, adaptive-threshold, target-utilization, "
+        "'forecast:lead_s=90' (default default)",
     )
     sweep.add_argument(
         "--csv", metavar="FILE", default=None,

@@ -26,12 +26,7 @@ from repro.jade.manager_adl import (
     finalize_manager,
     management_factory_registry,
 )
-from repro.jade.planner import PlannerReactor
-from repro.jade.reactors import (
-    AdaptiveThresholdReactor,
-    PolicyReactor,
-    ThresholdReactor,
-)
+from repro.jade.reactors import PolicyReactor
 from repro.jade.rolling import RollingRebind, rolling_rebind
 from repro.jade.self_optimization import SelfOptimizationManager
 from repro.jade.self_recovery import SelfRecoveryManager
@@ -47,7 +42,6 @@ from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.jade.three_tier import ThreeTierSystem
 
 __all__ = [
-    "AdaptiveThresholdReactor",
     "ArbitrationManager",
     "ControlLoop",
     "CpuProbe",
@@ -61,7 +55,6 @@ __all__ = [
     "LatencySensor",
     "ManagedSystem",
     "Operation",
-    "PlannerReactor",
     "PolicyReactor",
     "RollingRebind",
     "SELF_OPTIMIZATION_ADL",
@@ -69,7 +62,6 @@ __all__ = [
     "SelfRecoveryManager",
     "SloReactor",
     "ThreeTierSystem",
-    "ThresholdReactor",
     "TierManager",
     "UtilizationSampler",
     "finalize_manager",

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.fractal.component import Component
 from repro.fractal.interfaces import CLIENT, MANDATORY, SERVER, InterfaceType
 from repro.jade.actuators import TierManager
-from repro.jade.reactors import ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe, CpuReading
 from repro.obs.events import InhibitionAcquired, InhibitionRejected
 from repro.simulation.kernel import SimKernel
@@ -95,9 +95,9 @@ class _SensorShell:
 
 class _ReactorShell:
     """Content of a reactor component: receives readings on its ``readings``
-    server interface and delegates decisions to the threshold logic."""
+    server interface and delegates decisions to the policy reactor."""
 
-    def __init__(self, reactor: ThresholdReactor) -> None:
+    def __init__(self, reactor: PolicyReactor) -> None:
         self.reactor = reactor
 
     def on_reading(self, reading: CpuReading) -> None:
@@ -144,6 +144,26 @@ class _TierThroughInterface:
         return self._itf().invoke("replica_count")
 
 
+def wire_reactor(
+    reactor_component: Component,
+    reactor: PolicyReactor,
+    probe: CpuProbe,
+    tier: TierManager,
+    name: str,
+) -> None:
+    """The wiring shared by code-built (:meth:`ControlLoop.build`) and
+    ADL-deployed (:func:`repro.jade.manager_adl.finalize_manager`) loops:
+    route the reactor's decisions through its ``actuate`` binding, name it
+    (the name identifies it in decision traces and on the shared lock),
+    and reset the probe's moving average whenever the tier reconfigures —
+    samples taken against the previous replica set no longer describe
+    the system."""
+    reactor.tier = _TierThroughInterface(reactor_component)
+    reactor.name = name
+    reactor.probe = probe
+    tier.on_reconfigured.append(probe.window.reset)
+
+
 class ControlLoop:
     """One assembled feedback loop (a composite Fractal component)."""
 
@@ -151,7 +171,7 @@ class ControlLoop:
         self,
         composite: Component,
         probe: CpuProbe,
-        reactor: ThresholdReactor,
+        reactor: PolicyReactor,
         tier: TierManager,
     ) -> None:
         self.composite = composite
@@ -165,7 +185,7 @@ class ControlLoop:
         kernel: SimKernel,
         name: str,
         probe: CpuProbe,
-        reactor: ThresholdReactor,
+        reactor: PolicyReactor,
         tier: TierManager,
     ) -> "ControlLoop":
         """Assemble sensor → reactor → actuator components in a composite."""
@@ -195,14 +215,8 @@ class ControlLoop:
         )
         sensor_comp.bind("notify", reactor_comp.get_interface("readings"))
         reactor_comp.bind("actuate", actuator_comp.get_interface("resize"))
-        # Route the reactor's decisions through the actuate binding.
-        reactor.tier = _TierThroughInterface(reactor_comp)
         # The loop's name identifies the reactor in decision traces.
-        reactor.name = name
-        # Reconfigurations invalidate the probe's history: samples taken
-        # against the previous replica set no longer describe the system.
-        reactor.probe = probe
-        tier.on_reconfigured.append(probe.window.reset)
+        wire_reactor(reactor_comp, reactor, probe, tier, name)
         composite = Component(name, composite=True)
         for sub in (sensor_comp, reactor_comp, actuator_comp):
             composite.content_controller.add(sub)
@@ -224,4 +238,3 @@ class ControlLoop:
 SensorShell = _SensorShell
 ReactorShell = _ReactorShell
 ActuatorShell = _ActuatorShell
-TierThroughInterface = _TierThroughInterface

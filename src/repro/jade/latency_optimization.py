@@ -120,7 +120,7 @@ class SloReactor:
             self.decisions_suppressed += 1
             return
         bottleneck = max(candidates, key=self._tier_utilization)
-        if not self.inhibition.try_acquire():
+        if not self.inhibition.try_acquire("slo"):
             self.decisions_suppressed += 1
             return
         if bottleneck.grow():
@@ -138,7 +138,7 @@ class SloReactor:
         if not candidates:
             return
         idlest = min(candidates, key=self._tier_utilization)
-        if not self.inhibition.try_acquire():
+        if not self.inhibition.try_acquire("slo"):
             self.decisions_suppressed += 1
             return
         if idlest.shrink():

@@ -42,10 +42,11 @@ from repro.jade.control_loop import (
     InhibitionLock,
     ReactorShell,
     SensorShell,
-    TierThroughInterface,
+    wire_reactor,
 )
-from repro.jade.reactors import AdaptiveThresholdReactor, ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
+from repro.policy import AdaptiveThresholdPolicy, ThresholdPolicy
 
 #: the paper's self-optimization manager, as an ADL document
 SELF_OPTIMIZATION_ADL = """
@@ -136,18 +137,22 @@ def make_threshold_reactor(
     inhibition: InhibitionLock,
     **_: Any,
 ) -> Component:
-    """Factory for ADL type ``threshold-reactor`` (set ``adaptive=true``
-    for the self-adjusting variant)."""
+    """Factory for ADL type ``threshold-reactor``: a :class:`PolicyReactor`
+    running the ``threshold`` policy (``adaptive=true`` selects the
+    self-adjusting ``adaptive-threshold`` policy)."""
     tier = _tier_from(attributes, tiers)
     adaptive = str(attributes.get("adaptive", "false")).lower() in ("true", "1")
-    cls = AdaptiveThresholdReactor if adaptive else ThresholdReactor
+    policy_cls = AdaptiveThresholdPolicy if adaptive else ThresholdPolicy
+    policy = policy_cls(
+        max_threshold=float(attributes.get("max_threshold", 0.80)),
+        min_threshold=float(attributes.get("min_threshold", 0.35)),
+    )
     window = float(attributes.get("window_s", 60.0))
-    reactor = cls(
+    reactor = PolicyReactor(
         kernel,
         tier,
         inhibition,
-        max_threshold=float(attributes.get("max_threshold", 0.80)),
-        min_threshold=float(attributes.get("min_threshold", 0.35)),
+        policy,
         min_replicas=int(attributes.get("min_replicas", 1)),
         fresh_samples_required=min(30, max(1, int(window))),
     )
@@ -187,24 +192,27 @@ def management_factory_registry() -> ComponentFactoryRegistry:
 
 
 def finalize_manager(app) -> None:
-    """Post-deployment wiring the ADL cannot express: route each reactor's
-    decisions through its ``actuate`` binding and register the probe reset
-    on reconfiguration (same as :meth:`ControlLoop.build`)."""
+    """Post-deployment wiring the ADL cannot express, shared with
+    :meth:`ControlLoop.build` (:func:`wire_reactor`): each reactor actuates
+    through its ``actuate`` binding, is named after its component, and
+    resets its probe on reconfiguration."""
     from repro.fractal.introspection import iter_components
 
     for component in iter_components(app.root):
         content = component.content
         if isinstance(content, ReactorShell):
-            reactor = content.reactor
-            reactor.tier_manager = reactor.tier  # keep the raw handle
             actuate = component.binding_controller.lookup("actuate")
             if actuate is None:
                 raise ValueError(f"{component.name}: actuate is unbound")
             shell = actuate.delegate
             assert isinstance(shell, ActuatorShell)
-            reactor.probe = _find_probe_for(app, component)
-            shell.tier.on_reconfigured.append(reactor.probe.window.reset)
-            reactor.tier = TierThroughInterface(component)
+            wire_reactor(
+                component,
+                content.reactor,
+                _find_probe_for(app, component),
+                shell.tier,
+                component.name,
+            )
 
 
 def _find_probe_for(app, reactor_component) -> CpuProbe:

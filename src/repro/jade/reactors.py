@@ -9,30 +9,20 @@ order to prevent oscillations, a reconfiguration started by one of the
 control loops inhibits any new reconfiguration for a short period (one
 minute)".
 
-Since the policy-plugin refactor the *judgment* lives in
-:mod:`repro.policy` plugins; the generic :class:`PolicyReactor` here owns
-only the mechanics every loop shares — warm-up, NaN handling, the
-fresh-evidence gate, the inhibition lock, actuation, tracing, counters.
-:class:`ThresholdReactor` / :class:`AdaptiveThresholdReactor` are the
-paper's reactors re-expressed as thin shells over the ``threshold`` /
-``adaptive-threshold`` plugins, byte-identical to their pre-refactor
-selves (enforced by ``tests/test_policy.py``).
+Every CPU control loop has one reactor: the *judgment* lives in a
+:mod:`repro.policy` plugin (the paper's rule is the ``threshold`` plugin,
+the default), and :class:`PolicyReactor` owns only the mechanics every
+loop shares — warm-up, NaN handling, the fresh-evidence gate, the
+inhibition lock, actuation, tracing, counters.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from repro.jade.sensors import CpuReading
 from repro.obs.events import Decision, DecisionAction, DecisionReason, PolicyDecided
-from repro.policy import (
-    AdaptiveThresholdPolicy,
-    Policy,
-    PolicyDecision,
-    PolicyInputs,
-    ThresholdPolicy,
-)
+from repro.policy import Policy, PolicyDecision, PolicyInputs
 from repro.simulation.kernel import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,10 +120,7 @@ class PolicyReactor:
         # reconfig-completed -> reconfig-started -> decision stays intact
         # for every existing trace consumer.
         self._emit_policy(decision, inputs)
-        if decision.action == DecisionAction.GROW:
-            self._try_grow(reading, decision)
-        elif decision.action == DecisionAction.SHRINK:
-            self._try_shrink(reading, decision)
+        self._try_execute(reading, decision)
 
     # ------------------------------------------------------------------
     def _emit_policy(
@@ -196,182 +183,31 @@ class PolicyReactor:
             )
         return ok
 
-    def _try_grow(self, reading: CpuReading, decision: PolicyDecision) -> None:
-        if self.max_replicas is not None and self.tier.replica_count >= self.max_replicas:
+    def _try_execute(self, reading: CpuReading, decision: PolicyDecision) -> None:
+        """Execute a grow/shrink verdict, or count and trace why not: at
+        the replica cap/floor (checked before the lock, so a blocked
+        decision never inhibits the other loops), inhibited, or rejected
+        by a busy actuator."""
+        action = decision.action
+        replicas = self.tier.replica_count
+        if action == DecisionAction.GROW:
+            operation = self.tier.grow
+            at_limit = self.max_replicas is not None and replicas >= self.max_replicas
+            limit_reason = DecisionReason.AT_CAP
+        else:
+            operation = self.tier.shrink
+            at_limit = replicas <= self.min_replicas
+            limit_reason = DecisionReason.AT_FLOOR
+        if at_limit or not self.inhibition.try_acquire(self.name):
             self.decisions_suppressed += 1
-            self._emit(
-                DecisionAction.GROW, False, DecisionReason.AT_CAP, reading
-            )
+            reason = limit_reason if at_limit else DecisionReason.INHIBITED
+            self._emit(action, False, reason, reading)
             return
-        if not self.inhibition.try_acquire(self.name):
-            self.decisions_suppressed += 1
-            self._emit(
-                DecisionAction.GROW, False, DecisionReason.INHIBITED, reading
-            )
-            return
-        if not self._actuate(
-            self.tier.grow, DecisionAction.GROW, decision.reason, reading
-        ):
-            self.decisions_suppressed += 1
-            return
-        self.grows_triggered += 1
-        self.policy.on_actuated(
-            DecisionAction.GROW, self.kernel.now, self.policy_state
-        )
-
-    def _try_shrink(self, reading: CpuReading, decision: PolicyDecision) -> None:
-        if self.tier.replica_count <= self.min_replicas:
-            # Symmetric with the at-cap path above: a shrink suppressed at
-            # the replica floor counts (and is traced) too.
-            self.decisions_suppressed += 1
-            self._emit(
-                DecisionAction.SHRINK, False, DecisionReason.AT_FLOOR, reading
-            )
-            return
-        if not self.inhibition.try_acquire(self.name):
-            self.decisions_suppressed += 1
-            self._emit(
-                DecisionAction.SHRINK, False, DecisionReason.INHIBITED, reading
-            )
-            return
-        if not self._actuate(
-            self.tier.shrink, DecisionAction.SHRINK, decision.reason, reading
-        ):
+        if not self._actuate(operation, action, decision.reason, reading):
             self.decisions_suppressed += 1
             return
-        self.shrinks_triggered += 1
-        self.policy.on_actuated(
-            DecisionAction.SHRINK, self.kernel.now, self.policy_state
-        )
-
-
-class ThresholdReactor(PolicyReactor):
-    """The paper's threshold trigger for one tier.
-
-    * smoothed CPU > ``max_threshold`` → grow the tier by one replica;
-    * smoothed CPU < ``min_threshold`` → shrink by one (never below
-      ``min_replicas``).
-
-    Kept as a constructor-compatible shell over the ``threshold`` policy
-    plugin: every pre-refactor call site (three-tier assembly, ADL
-    attributes, tests) builds it exactly as before.
-    """
-
-    def __init__(
-        self,
-        kernel: SimKernel,
-        tier: "TierManager",
-        inhibition: "InhibitionLock",
-        max_threshold: float = 0.80,
-        min_threshold: float = 0.35,
-        min_replicas: int = 1,
-        max_replicas: Optional[int] = None,
-        warmup_samples: int = 5,
-        fresh_samples_required: int = 30,
-        name: str = "reactor",
-        policy: Optional[Policy] = None,
-    ) -> None:
-        if policy is None:
-            policy = ThresholdPolicy(
-                max_threshold=max_threshold, min_threshold=min_threshold
-            )
-        super().__init__(
-            kernel,
-            tier,
-            inhibition,
-            policy,
-            min_replicas=min_replicas,
-            max_replicas=max_replicas,
-            warmup_samples=warmup_samples,
-            fresh_samples_required=fresh_samples_required,
-            name=name,
-        )
-
-    # The thresholds stay reachable as attributes (benchmarks and the
-    # proactive manager read them; a few tests adjust them mid-run).
-    @property
-    def max_threshold(self) -> float:
-        return self.policy.max_threshold
-
-    @max_threshold.setter
-    def max_threshold(self, value: float) -> None:
-        self.policy = dataclasses.replace(self.policy, max_threshold=value)
-
-    @property
-    def min_threshold(self) -> float:
-        return self.policy.min_threshold
-
-    @min_threshold.setter
-    def min_threshold(self, value: float) -> None:
-        self.policy = dataclasses.replace(self.policy, min_threshold=value)
-
-
-class AdaptiveThresholdReactor(ThresholdReactor):
-    """Extension (§7 future work: "improving the self-optimizing algorithm
-    by setting incrementally and dynamically its parameters").
-
-    Detects oscillation — a grow and a shrink within ``oscillation_window_s``
-    of each other — and widens the dead band by lowering ``min_threshold``
-    (down to ``min_floor``, itself clamped into ``[0, min_threshold]`` so a
-    large ``widen_step`` can never push the live threshold below zero).
-    When no oscillation occurs for ``relax_after_s``, the band narrows back
-    towards its initial width.
-    """
-
-    def __init__(
-        self,
-        *args,
-        oscillation_window_s: float = 300.0,
-        widen_step: float = 0.05,
-        relax_after_s: float = 900.0,
-        min_floor: float = 0.10,
-        max_threshold: float = 0.80,
-        min_threshold: float = 0.35,
-        **kwargs,
-    ) -> None:
-        policy = AdaptiveThresholdPolicy(
-            max_threshold=max_threshold,
-            min_threshold=min_threshold,
-            oscillation_window_s=oscillation_window_s,
-            widen_step=widen_step,
-            relax_after_s=relax_after_s,
-            min_floor=min_floor,
-        )
-        super().__init__(*args, policy=policy, **kwargs)
-
-    @property
-    def oscillation_window_s(self) -> float:
-        return self.policy.oscillation_window_s
-
-    @property
-    def widen_step(self) -> float:
-        return self.policy.widen_step
-
-    @property
-    def relax_after_s(self) -> float:
-        return self.policy.relax_after_s
-
-    @property
-    def min_floor(self) -> float:
-        return self.policy.min_floor
-
-    @property
-    def adaptations(self) -> int:
-        return self.policy_state.adaptations
-
-    # The *live* (adapted) threshold is runtime state, not a parameter.
-    @property
-    def min_threshold(self) -> float:
-        return self.policy_state.min_threshold
-
-    @min_threshold.setter
-    def min_threshold(self, value: float) -> None:
-        self.policy_state.min_threshold = value
-
-    @property
-    def max_threshold(self) -> float:
-        return self.policy.max_threshold
-
-    @max_threshold.setter
-    def max_threshold(self, value: float) -> None:
-        self.policy = dataclasses.replace(self.policy, max_threshold=value)
+        if action == DecisionAction.GROW:
+            self.grows_triggered += 1
+        else:
+            self.shrinks_triggered += 1
+        self.policy.on_actuated(action, self.kernel.now, self.policy_state)

@@ -2,27 +2,24 @@
 
 Two control loops — one for the replicated application-server tier, one for
 the replicated database tier — each assembled from a CPU probe (1 s period,
-60 s / 90 s moving averages), a threshold reactor (0.80 / 0.35 defaults)
-and the generic tier actuator.  The loops run independently but share one
+60 s / 90 s moving averages), a :class:`~repro.jade.reactors.PolicyReactor`
+running the loop's policy plugin (the paper's ``threshold`` rule by
+default) and the generic tier actuator.  The loops run independently but share one
 :class:`~repro.jade.control_loop.InhibitionLock` (60 s), exactly as in
 §5.2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.fractal.component import Component
 from repro.jade.actuators import TierManager
 from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import (
-    AdaptiveThresholdReactor,
-    PolicyReactor,
-    ThresholdReactor,
-)
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
-from repro.policy import PolicyConfig
+from repro.policy import POLICIES, PolicyConfig
 from repro.simulation.kernel import SimKernel
 from repro.workload.calibration import DEFAULT_CALIBRATION, Calibration
 
@@ -38,14 +35,10 @@ class LoopConfig:
     min_replicas: int = 1
     max_replicas: Optional[int] = None
     probe_demand_s: float = 0.0004
-    adaptive: bool = False          # use the AdaptiveThresholdReactor
-    planner: bool = False           # use the model-based PlannerReactor
-    planner_target: float = 0.60    # its target utilization
-    planner_hysteresis: float = 0.12
-    #: named policy plugin with parameter overrides (``repro.policy``);
-    #: None = the legacy flags above pick the reactor.  Takes precedence
-    #: over ``adaptive``/``planner`` when set.
-    policy: Optional[PolicyConfig] = None
+    #: the loop's policy plugin (``repro.policy``) with parameter
+    #: overrides; a plugin's band parameters default to the thresholds
+    #: above (see :meth:`SelfOptimizationManager._policy_defaults`)
+    policy: PolicyConfig = PolicyConfig()
 
 
 # §5.2: "the average CPU usage is computed over the last 60 seconds for the
@@ -90,96 +83,44 @@ class SelfOptimizationManager:
             probe_demand_s=cfg.probe_demand_s,
             name=f"probe-{label}",
         )
-        reactor_cls = AdaptiveThresholdReactor if cfg.adaptive else ThresholdReactor
         # The post-reconfiguration fresh-evidence gate can never exceed the
         # number of samples the window can hold.
         fresh = min(30, max(1, int(cfg.window_s / cfg.period_s)))
-        if cfg.policy is not None:
-            reactor = self._policy_reactor(label, tier, cfg, fresh)
-        elif cfg.planner:
-            from repro.jade.planner import PlannerReactor
-
-            reactor = PlannerReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                target_utilization=cfg.planner_target,
-                hysteresis=cfg.planner_hysteresis,
-                min_replicas=cfg.min_replicas,
-                max_replicas=cfg.max_replicas,
-                fresh_samples_required=fresh,
-            )
-        else:
-            reactor = reactor_cls(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=cfg.max_threshold,
-                min_threshold=cfg.min_threshold,
-                min_replicas=cfg.min_replicas,
-                max_replicas=cfg.max_replicas,
-                fresh_samples_required=fresh,
-            )
-        loop = ControlLoop.build(self.kernel, f"resize-{label}", probe, reactor, tier)
-        self.loops[label] = loop
-        self.composite.content_controller.add(loop.composite)
-
-    def _policy_reactor(
-        self, label: str, tier: TierManager, cfg: LoopConfig, fresh: int
-    ):
-        """Build the reactor for an explicit :class:`PolicyConfig`.
-
-        The named threshold policies keep the dedicated reactor shells
-        (their thresholds default to the loop's own band); every other
-        plugin rides the generic :class:`PolicyReactor`, with model
-        parameters defaulted from this loop's tier and the calibration.
-        """
-        pc = cfg.policy
-        overrides = pc.as_dict()
-        common = dict(
+        reactor = PolicyReactor(
+            self.kernel,
+            tier,
+            self.inhibition,
+            cfg.policy.build(**self._policy_defaults(label, cfg)),
             min_replicas=cfg.min_replicas,
             max_replicas=cfg.max_replicas,
             fresh_samples_required=fresh,
         )
-        if pc.name == "threshold":
-            return ThresholdReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=overrides.pop("max_threshold", cfg.max_threshold),
-                min_threshold=overrides.pop("min_threshold", cfg.min_threshold),
-                **common,
-                **overrides,
-            )
-        if pc.name == "adaptive-threshold":
-            return AdaptiveThresholdReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=overrides.pop("max_threshold", cfg.max_threshold),
-                min_threshold=overrides.pop("min_threshold", cfg.min_threshold),
-                **common,
-                **overrides,
-            )
-        defaults: dict = {}
-        if pc.name == "queue-model":
-            # Per-tier service demand from the calibrated mix: the app
-            # tier's servlet work, the DB tier's read/write blend.
-            cal = self.calibration
-            defaults["service_demand_s"] = (
+        loop = ControlLoop.build(self.kernel, f"resize-{label}", probe, reactor, tier)
+        self.loops[label] = loop
+        self.composite.content_controller.add(loop.composite)
+
+    def _policy_defaults(self, label: str, cfg: LoopConfig) -> dict:
+        """The loop defaults a policy receives, chosen by its dataclass
+        fields (its explicit params still win): band thresholds from this
+        loop, the per-tier service demand from the calibrated mix (the app
+        tier's servlet work, the DB tier's read/write blend)."""
+        cal = self.calibration
+        loop_defaults = {
+            "max_threshold": cfg.max_threshold,
+            "min_threshold": cfg.min_threshold,
+            "service_demand_s": (
                 cal.app_demand_total() if label == "app"
                 else cal.effective_db_demand()
-            )
-        elif pc.name == "forecast":
-            defaults["max_threshold"] = cfg.max_threshold
-            defaults["min_threshold"] = cfg.min_threshold
-        return PolicyReactor(
-            self.kernel,
-            tier,
-            self.inhibition,
-            pc.build(**defaults),
-            **common,
-        )
+            ),
+        }
+        cls = POLICIES.get(cfg.policy.name)
+        if cls is None:  # unknown: PolicyConfig.build names the plugins
+            return {}
+        return {
+            f.name: loop_defaults[f.name]
+            for f in fields(cls)
+            if f.name in loop_defaults
+        }
 
     # ------------------------------------------------------------------
     def start(self) -> None:

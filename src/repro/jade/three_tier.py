@@ -30,11 +30,12 @@ from repro.fractal.adl import parse_adl
 from repro.jade.actuators import TierManager
 from repro.jade.control_loop import ControlLoop, InhibitionLock
 from repro.jade.deployment import DeploymentService
-from repro.jade.reactors import ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
 from repro.legacy.cjdbc import BackendState
 from repro.legacy.directory import Directory
 from repro.metrics.collector import MetricsCollector
+from repro.policy import ThresholdPolicy
 from repro.simulation.kernel import SimKernel
 from repro.simulation.rng import RngStreams
 from repro.wrappers import default_factory_registry
@@ -190,12 +191,11 @@ class ThreeTierSystem:
                 )
                 tier_name = "web" if label == "web" else "database"
                 probe.subscribe(self._tier_recorder(tier_name))
-                reactor = ThresholdReactor(
+                reactor = PolicyReactor(
                     self.kernel,
                     tier,
                     inhibition,
-                    max_threshold=max_t,
-                    min_threshold=min_t,
+                    ThresholdPolicy(max_threshold=max_t, min_threshold=min_t),
                 )
                 self.loops[label] = ControlLoop.build(
                     self.kernel, f"resize-{label}", probe, reactor, tier

@@ -2,9 +2,10 @@
 
 :class:`ThresholdPolicy` is §4.1/§5.2 verbatim — grow above
 ``max_threshold``, shrink below ``min_threshold`` — and is the default
-plugin of every CPU control loop; the refactored
-:class:`~repro.jade.reactors.ThresholdReactor` is byte-identical to the
-pre-refactor reactor (test-enforced in ``tests/test_policy.py``).
+plugin of every CPU control loop; under
+:class:`~repro.jade.reactors.PolicyReactor` it is byte-identical to the
+dedicated threshold reactor it replaced (test-enforced in
+``tests/test_policy.py``).
 
 :class:`AdaptiveThresholdPolicy` carries the §7 oscillation-damping
 extension, and :class:`LatencyBandPolicy` the latency-SLO band of

@@ -109,7 +109,7 @@ class TunePoint:
         pc = (
             PolicyConfig.parse(self.controller)
             if self.controller != "default"
-            else None
+            else PolicyConfig()
         )
         app = replace(
             APP_LOOP_DEFAULTS,

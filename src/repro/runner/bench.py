@@ -11,17 +11,20 @@ rendered, then checked, and a failed check fails the command.
 
 The **micro** section times the kernel and PS-CPU scenarios
 from ``benchmarks/bench_micro_engine.py`` best-of-N against the committed
-pre-optimization baselines (events/s, jobs/s, speedups).  The CI
-perf-smoke job runs ``repro bench --check BENCH_engine.json`` and fails
-if the fresh micro timings drift more than the tolerance from the
-committed numbers.
+pre-optimization baselines (events/s, jobs/s, speedups), interleaved with
+a fixed pure-Python reference loop.  The CI perf-smoke job runs
+``repro bench --check BENCH_engine.json`` and fails if a scenario's time
+*relative to that reference loop* drifts more than the tolerance from the
+committed ratio, so the gate measures the code rather than the host.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import heapq
 import json
-import math
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -73,37 +76,81 @@ def _scenario_ps(arrivals, demands) -> int:
     return cpu.completed
 
 
-def _best_of(fn, rounds: int) -> float:
-    best = math.inf
+class _RefEvent:
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg) -> None:
+        self.fn = fn
+        self.arg = arg
+
+
+def _reference_loop() -> int:
+    """A fixed, self-contained event loop (a heapq of 10k slotted events,
+    one callback each) shaped like the kernel scenario but sharing no
+    code with the simulator, so no change to it can make this loop faster
+    or slower.  The micro gate measures each scenario in units of this
+    loop, timed on the same host in the same rounds."""
+    heap, sink = [], []
+    for i in range(10_000):
+        heapq.heappush(heap, (float(i % 100) * 0.01, i, _RefEvent(sink.append, i)))
+    while heap:
+        event = heapq.heappop(heap)[2]
+        event.fn(event.arg)
+    return len(sink)
+
+
+def _time_rounds(
+    fns: Mapping[str, Callable[[], object]], rounds: int
+) -> dict[str, list[float]]:
+    """Wall time of every function in every round; the functions are
+    interleaved within a round so host load hits them alike, and each
+    starts from a freshly collected heap so the garbage collections that
+    land inside it do not depend on what ran before."""
+    times: dict[str, list[float]] = {name: [] for name in fns}
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for name, fn in fns.items():
+            gc.collect()
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
+    return times
 
 
 def run_micro(rounds: int = 10) -> dict[str, dict[str, float]]:
-    """Time both micro scenarios; returns the BENCH_engine ``micro`` block."""
+    """Time both micro scenarios; returns the BENCH_engine ``micro`` block.
+    Besides its best-of time each scenario records the reference loop's
+    best-of ``ref_s`` and ``ref_ratio``, the median over rounds of
+    scenario time / reference time (what the perf gate compares)."""
     rng = np.random.default_rng(0)
     arrivals = np.cumsum(rng.exponential(0.01, size=5000))
     demands = rng.gamma(4.0, 0.01 / 4.0, size=5000)
 
-    kernel_s = _best_of(_scenario_kernel, rounds)
-    ps_s = _best_of(lambda: _scenario_ps(arrivals, demands), rounds)
-    return {
-        "kernel_10k_events": {
-            "baseline_s": BASELINES_S["kernel_10k_events"],
-            "best_s": kernel_s,
-            "events_per_s": 10_000 / kernel_s,
-            "speedup_vs_baseline": BASELINES_S["kernel_10k_events"] / kernel_s,
+    times = _time_rounds(
+        {
+            "ref": _reference_loop,
+            "kernel_10k_events": _scenario_kernel,
+            "ps_cpu_5k_jobs": lambda: _scenario_ps(arrivals, demands),
         },
-        "ps_cpu_5k_jobs": {
-            "baseline_s": BASELINES_S["ps_cpu_5k_jobs"],
-            "best_s": ps_s,
-            "jobs_per_s": 5000 / ps_s,
-            "speedup_vs_baseline": BASELINES_S["ps_cpu_5k_jobs"] / ps_s,
-        },
-    }
+        rounds,
+    )
+    ref = times.pop("ref")
+    block = {}
+    for name, rate_key, count in (
+        ("kernel_10k_events", "events_per_s", 10_000),
+        ("ps_cpu_5k_jobs", "jobs_per_s", 5000),
+    ):
+        best = min(times[name])
+        block[name] = {
+            "baseline_s": BASELINES_S[name],
+            "best_s": best,
+            "ref_s": min(ref),
+            "ref_ratio": statistics.median(
+                t / r for t, r in zip(times[name], ref)
+            ),
+            rate_key: count / best,
+            "speedup_vs_baseline": BASELINES_S[name] / best,
+        }
+    return block
 
 
 def render_micro(block: dict) -> str:
@@ -116,6 +163,9 @@ def render_micro(block: dict) -> str:
         f"  PS-CPU 5k jobs    : {ps['best_s'] * 1e3:.2f} ms  "
         f"({ps['jobs_per_s']:,.0f} jobs/s, "
         f"{ps['speedup_vs_baseline']:.2f}x baseline)",
+        f"  reference loop    : {kernel['ref_s'] * 1e3:.2f} ms  "
+        f"(kernel {kernel['ref_ratio']:.3f}x, PS-CPU {ps['ref_ratio']:.3f}x "
+        f"of it, median per round)",
     ])
 
 
@@ -587,22 +637,26 @@ def check_against(
     reference_path: str, tolerance: float = 0.25, rounds: int = 10
 ) -> tuple[bool, list[str]]:
     """Perf-smoke gate: re-time the micro scenarios and compare against a
-    committed BENCH_engine.json.  A scenario fails if it is slower than
-    ``(1 + tolerance) ×`` the committed timing (being *faster* never
+    committed BENCH_engine.json.  Each scenario is measured in units of
+    the reference loop timed beside it (``ref_ratio``), so a faster or
+    busier host moves both sides; a scenario fails if its ratio exceeds
+    ``(1 + tolerance) ×`` the committed ratio (being *faster* never
     fails).  Returns (ok, report lines)."""
     reference = json.loads(Path(reference_path).read_text())
     fresh = run_micro(rounds)
     ok = True
     lines = []
     for name, block in fresh.items():
-        committed = reference["micro"][name]["best_s"]
-        measured = block["best_s"]
+        committed = reference["micro"][name]["ref_ratio"]
+        measured = block["ref_ratio"]
         limit = committed * (1.0 + tolerance)
         passed = measured <= limit
         ok = ok and passed
         lines.append(
-            f"{name}: {measured * 1e3:.2f} ms vs committed "
-            f"{committed * 1e3:.2f} ms (limit {limit * 1e3:.2f} ms) "
+            f"{name}: {measured:.3f}x reference loop "
+            f"(best {block['best_s'] * 1e3:.2f} ms, "
+            f"loop {block['ref_s'] * 1e3:.2f} ms) vs committed "
+            f"{committed:.3f}x (limit {limit:.3f}x) "
             f"{'ok' if passed else 'REGRESSION'}"
         )
     return ok, lines

@@ -23,7 +23,7 @@ runs the cell on a heterogeneous fleet, adding a ``fleet_cost`` column.
 The optional **controller** axis crosses every cell with a named
 control-loop policy plugin (``--controllers
 "default,queue-model,forecast:lead_s=90"``): ``default`` keeps each
-cell's legacy reactor selection, any other value is a
+cell's loop policy (the paper's threshold rule), any other value is a
 :meth:`repro.policy.PolicyConfig.parse` string installed on both tier
 loops.  Like the fleet/fluid axes, the label only grows a suffix off the
 default, so pre-existing sweep labels (and cache keys) survive.

@@ -4,7 +4,8 @@
 import pytest
 
 from repro.fractal import architecture_report, parse_adl, verify_architecture
-from repro.jade.control_loop import InhibitionLock
+from repro.fractal.introspection import iter_components
+from repro.jade.control_loop import InhibitionLock, ReactorShell
 from repro.jade.deployment import DeploymentService
 from repro.jade.manager_adl import (
     SELF_OPTIMIZATION_ADL,
@@ -12,6 +13,7 @@ from repro.jade.manager_adl import (
     management_factory_registry,
 )
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.obs.tracer import Tracer
 from repro.workload.profiles import PiecewiseProfile
 
 
@@ -102,6 +104,35 @@ class TestManagerBehaviour:
         # components instantiated from the ADL document.
         assert base_system.db_tier.grows_completed >= 1
         assert col.tier_replicas["database"].max() >= 2
+
+    def test_reactors_trace_under_their_component_names(self, base_system):
+        """Both ADL-deployed reactors are named after their components, so
+        their decisions and lock events say which loop acted."""
+        manager = deploy_manager(base_system)
+        reactors = {
+            c.name: c.content.reactor
+            for c in iter_components(manager.root)
+            if isinstance(c.content, ReactorShell)
+        }
+        assert {name: r.name for name, r in reactors.items()} == {
+            "app-reactor": "app-reactor",
+            "db-reactor": "db-reactor",
+        }
+        tracer = Tracer(run_id="adl")
+        for reactor in reactors.values():
+            reactor.tracer = reactor.inhibition.tracer = tracer
+        manager.start()
+        base_system.run()
+        manager.stop()
+        records = tracer.records()
+        deciders = {r["source"] for r in records if r["kind"] == "decision"}
+        holders = {
+            r["by"] for r in records if r["kind"].startswith("inhibition-")
+        }
+        assert deciders == {"app-reactor", "db-reactor"}
+        # the DB loop took the shared lock for its grows; nobody took it
+        # under the old shared name "reactor"
+        assert "db-reactor" in holders and holders <= deciders
 
     def test_stopped_manager_is_inert(self, base_system):
         manager = deploy_manager(base_system)  # never started

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.jade.control_loop import InhibitionLock
-from repro.jade.reactors import ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuReading
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.obs.events import (
@@ -20,6 +20,7 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer, causal_chain, load_jsonl
 from repro.obs.timeline import render_timeline, render_timeline_file
+from repro.policy import ThresholdPolicy
 from repro.workload.profiles import ConstantProfile, PiecewiseProfile
 
 
@@ -269,8 +270,14 @@ class TestReactorTracing:
         tier = tier if tier is not None else FakeTier()
         lock = InhibitionLock(kernel, 60.0)
         tracer = Tracer(run_id="rt")
-        reactor = ThresholdReactor(
-            kernel, tier, lock, warmup_samples=0, name="resize-db", **kwargs
+        reactor = PolicyReactor(
+            kernel,
+            tier,
+            lock,
+            ThresholdPolicy(),
+            warmup_samples=0,
+            name="resize-db",
+            **kwargs,
         )
         reactor.tracer = tracer
         lock.tracer = tracer

@@ -18,6 +18,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pickle
@@ -100,6 +101,7 @@ class TestRegistry:
             "latency-band",
             "queue-model",
             "forecast",
+            "target-utilization",
         }
 
     def test_make_policy_applies_params(self):
@@ -217,7 +219,7 @@ class TestAdaptiveThresholdPolicy:
         # The satellite fix observed from the reactor API, where the
         # original bug surfaced.
         from repro.jade.control_loop import InhibitionLock
-        from repro.jade.reactors import AdaptiveThresholdReactor
+        from repro.jade.reactors import PolicyReactor
 
         class FakeTier:
             name = "tier"
@@ -229,18 +231,17 @@ class TestAdaptiveThresholdPolicy:
             def shrink(self):
                 return True
 
-        reactor = AdaptiveThresholdReactor(
+        reactor = PolicyReactor(
             kernel,
             FakeTier(),
             InhibitionLock(kernel, 0.0),
+            AdaptiveThresholdPolicy(oscillation_window_s=1e9, widen_step=5.0),
             warmup_samples=0,
-            oscillation_window_s=1e9,
-            widen_step=5.0,
         )
         for _ in range(6):
             reactor.policy.on_actuated("grow", kernel.now, reactor.policy_state)
             reactor.policy.on_actuated("shrink", kernel.now, reactor.policy_state)
-        assert reactor.min_threshold >= 0.0
+        assert reactor.policy_state.min_threshold >= 0.0
 
 
 class TestQueueModelPolicy:
@@ -347,13 +348,30 @@ class TestLatencyBandPolicy:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: the refactored default path vs. the legacy flags
+# Byte-identity: the default loop vs. explicit PolicyConfigs
 # ----------------------------------------------------------------------
+def latency_digest(run) -> str:
+    return hashlib.sha256(
+        run.collector.latencies.values.tobytes()
+    ).hexdigest()[:16]
+
+
+def with_policy(cfg: ExperimentConfig, pc: PolicyConfig) -> ExperimentConfig:
+    cfg.app_loop = replace(cfg.app_loop, policy=pc)
+    cfg.db_loop = replace(cfg.db_loop, policy=pc)
+    return cfg
+
+
 class TestByteIdentity:
-    def pair(self, legacy_cfg, policy_cfg):
+    """Every CPU loop is a PolicyReactor; these pin the runs of the
+    dedicated threshold/adaptive reactors it replaced (digests measured
+    on those reactors) and check that a loop's band reaches its policy
+    whether it comes from the loop defaults or from explicit params."""
+
+    def pair(self, default_cfg, policy_cfg):
         runner = ExperimentRunner(cache=None, parallel=False)
-        runs = runner.run_many({"legacy": legacy_cfg, "policy": policy_cfg})
-        return runs["legacy"], runs["policy"]
+        runs = runner.run_many({"default": default_cfg, "policy": policy_cfg})
+        return runs["default"], runs["policy"]
 
     def assert_identical(self, a, b):
         assert a.summary() == b.summary()
@@ -367,22 +385,36 @@ class TestByteIdentity:
         assert a.events_processed == b.events_processed
 
     def test_explicit_threshold_policy_matches_legacy_reactor(self):
-        legacy = ramp_config(seed=1)
-        pc = PolicyConfig.parse("threshold")
-        policy = ramp_config(seed=1)
-        policy.app_loop = replace(policy.app_loop, policy=pc)
-        policy.db_loop = replace(policy.db_loop, policy=pc)
-        self.assert_identical(*self.pair(legacy, policy))
+        default = ramp_config(seed=1)
+        explicit = ramp_config(seed=1)
+        explicit.app_loop = replace(
+            explicit.app_loop,
+            policy=PolicyConfig.parse(
+                "threshold:max_threshold=0.8:min_threshold=0.38"
+            ),
+        )
+        explicit.db_loop = replace(
+            explicit.db_loop,
+            policy=PolicyConfig.parse(
+                "threshold:max_threshold=0.75:min_threshold=0.4"
+            ),
+        )
+        a, b = self.pair(default, explicit)
+        self.assert_identical(a, b)
+        assert (latency_digest(a), a.events_processed) == (
+            "8575a7238237ec0d", 46181
+        )
 
     def test_explicit_adaptive_policy_matches_adaptive_flag(self):
-        legacy = ramp_config(seed=2)
-        legacy.app_loop = replace(legacy.app_loop, adaptive=True)
-        legacy.db_loop = replace(legacy.db_loop, adaptive=True)
         pc = PolicyConfig.parse("adaptive-threshold")
-        policy = ramp_config(seed=2)
-        policy.app_loop = replace(policy.app_loop, policy=pc)
-        policy.db_loop = replace(policy.db_loop, policy=pc)
-        self.assert_identical(*self.pair(legacy, policy))
+        (run,) = ExperimentRunner(cache=None, parallel=False).run_many(
+            {"adaptive": with_policy(ramp_config(seed=2), pc)}
+        ).values()
+        # the run of the retired adaptive reactor on the same ramp
+        assert (latency_digest(run), run.events_processed) == (
+            "4142c5e54f62cd29", 50282
+        )
+        assert len(run.collector.latencies.values) == 2773
 
 
 # ----------------------------------------------------------------------
@@ -390,11 +422,7 @@ class TestByteIdentity:
 # ----------------------------------------------------------------------
 class TestPluginRunsAreEngineCitizens:
     def queue_model_config(self, seed: int = 1) -> ExperimentConfig:
-        cfg = ramp_config(seed=seed)
-        pc = PolicyConfig.parse("queue-model")
-        cfg.app_loop = replace(cfg.app_loop, policy=pc)
-        cfg.db_loop = replace(cfg.db_loop, policy=pc)
-        return cfg
+        return with_policy(ramp_config(seed=seed), PolicyConfig.parse("queue-model"))
 
     def test_serial_pool_cache_identical(self, tmp_path):
         configs = {"qm": self.queue_model_config()}

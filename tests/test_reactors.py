@@ -1,10 +1,12 @@
-"""Tests for the threshold reactors and the inhibition lock."""
+"""Tests for the policy reactor running the threshold policies, and the
+inhibition lock."""
 
 import pytest
 
 from repro.jade.control_loop import InhibitionLock
-from repro.jade.reactors import AdaptiveThresholdReactor, ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuReading
+from repro.policy import AdaptiveThresholdPolicy, ThresholdPolicy
 
 
 class FakeTier:
@@ -30,11 +32,11 @@ def reading(kernel, smoothed, raw=None):
     return CpuReading(kernel.now, smoothed, raw if raw is not None else smoothed, 1)
 
 
-def make_reactor(kernel, tier=None, **kwargs):
+def make_reactor(kernel, tier=None, policy=None, **kwargs):
     tier = tier if tier is not None else FakeTier()
     lock = kwargs.pop("inhibition", InhibitionLock(kernel, 60.0))
     kwargs.setdefault("warmup_samples", 0)
-    reactor = ThresholdReactor(kernel, tier, lock, **kwargs)
+    reactor = PolicyReactor(kernel, tier, lock, policy or ThresholdPolicy(), **kwargs)
     return reactor, tier, lock
 
 
@@ -147,7 +149,7 @@ class TestThresholdReactor:
     def test_warmup_skips_early_samples(self, kernel):
         tier = FakeTier()
         lock = InhibitionLock(kernel, 60.0)
-        reactor = ThresholdReactor(kernel, tier, lock, warmup_samples=3)
+        reactor = PolicyReactor(kernel, tier, lock, ThresholdPolicy(), warmup_samples=3)
         for _ in range(2):
             reactor.on_reading(reading(kernel, 0.9))
         assert tier.calls == []
@@ -165,9 +167,9 @@ class TestThresholdReactor:
     def test_threshold_validation(self, kernel):
         lock = InhibitionLock(kernel, 60.0)
         with pytest.raises(ValueError):
-            ThresholdReactor(kernel, FakeTier(), lock, max_threshold=0.3, min_threshold=0.5)
+            ThresholdPolicy(max_threshold=0.3, min_threshold=0.5)
         with pytest.raises(ValueError):
-            ThresholdReactor(kernel, FakeTier(), lock, min_replicas=0)
+            PolicyReactor(kernel, FakeTier(), lock, ThresholdPolicy(), min_replicas=0)
 
     def test_fresh_sample_gate(self, kernel):
         """With a probe attached, decisions wait for fresh evidence."""
@@ -189,48 +191,46 @@ class TestAdaptiveReactor:
     def make(self, kernel, **kwargs):
         tier = FakeTier(replicas=2)
         lock = InhibitionLock(kernel, 0.0)  # no inhibition: test adaptation
-        reactor = AdaptiveThresholdReactor(
-            kernel,
-            tier,
-            lock,
-            warmup_samples=0,
+        policy = AdaptiveThresholdPolicy(
             min_threshold=0.35,
             oscillation_window_s=100.0,
             widen_step=0.05,
             **kwargs,
         )
-        return reactor, tier
+        reactor = PolicyReactor(kernel, tier, lock, policy, warmup_samples=0)
+        # the live (adapted) band is runtime state, not a parameter
+        return reactor, tier, reactor.policy_state
 
     def test_oscillation_widens_band(self, kernel):
-        reactor, tier = self.make(kernel)
+        reactor, tier, state = self.make(kernel)
         reactor.on_reading(reading(kernel, 0.9))   # grow
         kernel.run(until=10.0)
         reactor.on_reading(reading(kernel, 0.1))   # shrink soon after: oscillation
-        assert reactor.min_threshold == pytest.approx(0.30)
-        assert reactor.adaptations == 1
+        assert state.min_threshold == pytest.approx(0.30)
+        assert state.adaptations == 1
 
     def test_no_adaptation_for_slow_changes(self, kernel):
-        reactor, tier = self.make(kernel)
+        reactor, tier, state = self.make(kernel)
         reactor.on_reading(reading(kernel, 0.9))
         kernel.run(until=500.0)  # beyond the oscillation window
         reactor.on_reading(reading(kernel, 0.1))
-        assert reactor.min_threshold == pytest.approx(0.35)
+        assert state.min_threshold == pytest.approx(0.35)
 
     def test_band_floor_respected(self, kernel):
-        reactor, tier = self.make(kernel, min_floor=0.30)
+        reactor, tier, state = self.make(kernel, min_floor=0.30)
         for _ in range(10):
             reactor.on_reading(reading(kernel, 0.9))
             reactor.on_reading(reading(kernel, 0.1))
             tier.replica_count = 2
-        assert reactor.min_threshold >= 0.30
+        assert state.min_threshold >= 0.30
 
     def test_relaxation_narrows_band_back(self, kernel):
-        reactor, tier = self.make(kernel, relax_after_s=50.0)
+        reactor, tier, state = self.make(kernel, relax_after_s=50.0)
         reactor.on_reading(reading(kernel, 0.9))
         kernel.run(until=10.0)
         reactor.on_reading(reading(kernel, 0.1))
-        assert reactor.min_threshold < 0.35
+        assert state.min_threshold < 0.35
         tier.replica_count = 2
         kernel.run(until=200.0)
         reactor.on_reading(reading(kernel, 0.9))  # quiet period passed
-        assert reactor.min_threshold > 0.30
+        assert state.min_threshold > 0.30

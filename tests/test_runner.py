@@ -248,8 +248,8 @@ class TestBench:
             json.dumps(
                 {
                     "micro": {
-                        "kernel_10k_events": {"best_s": 100.0},
-                        "ps_cpu_5k_jobs": {"best_s": 100.0},
+                        "kernel_10k_events": {"ref_ratio": 1e6},
+                        "ps_cpu_5k_jobs": {"ref_ratio": 1e6},
                     }
                 }
             )
@@ -264,8 +264,8 @@ class TestBench:
             json.dumps(
                 {
                     "micro": {
-                        "kernel_10k_events": {"best_s": 1e-9},
-                        "ps_cpu_5k_jobs": {"best_s": 1e-9},
+                        "kernel_10k_events": {"ref_ratio": 1e-9},
+                        "ps_cpu_5k_jobs": {"ref_ratio": 1e-9},
                     }
                 }
             )
@@ -273,3 +273,23 @@ class TestBench:
         ok, lines = check_against(str(ref), tolerance=0.25, rounds=1)
         assert not ok
         assert any("REGRESSION" in line for line in lines)
+
+    def test_check_against_fails_on_slowed_scenario(self, tmp_path, monkeypatch):
+        """The gate is host-relative, not blind: against a reference
+        measured on the same host, a kernel scenario made ~3x slower
+        still fails."""
+        from repro.runner import bench
+
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"micro": bench.run_micro(rounds=3)}))
+        original = bench._scenario_kernel
+
+        def slowed():
+            for _ in range(3):
+                original()
+
+        monkeypatch.setattr(bench, "_scenario_kernel", slowed)
+        ok, lines = check_against(str(ref), tolerance=0.25, rounds=3)
+        assert not ok
+        (kernel_line,) = [x for x in lines if x.startswith("kernel_10k_events")]
+        assert "REGRESSION" in kernel_line
